@@ -81,6 +81,17 @@ func (c Config) String() string {
 	return fmt.Sprintf("%dset-%dway", c.Sets, c.Ways)
 }
 
+// CacheKey renders every field of the configuration, by name, for use
+// as a memoisation key: two configurations share a key only if they
+// simulate identically. String is for people and prints sets and ways
+// alone, and %v of a Config calls it, so a cache keyed on either serves
+// a FIFO cache's windows to the LRU cache of the same shape. Enumerated
+// fields print as numbers so no String method can shadow them either.
+func (c Config) CacheKey() string {
+	return fmt.Sprintf("name=%q sets=%d ways=%d block=%d policy=%d write=%d alloc=%d victim=%d seed=%d",
+		c.Name, c.Sets, c.Ways, c.BlockSize, int(c.Policy), int(c.Write), int(c.Alloc), c.VictimLines, c.Seed)
+}
+
 // Stats accumulates per-cache counters.
 type Stats struct {
 	Accesses     uint64 // demand accesses presented

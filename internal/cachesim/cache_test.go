@@ -2,6 +2,7 @@ package cachesim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -271,5 +272,30 @@ func TestSmallFootprintAllHitsAfterWarm(t *testing.T) {
 	}
 	if rate := float64(hits) / float64(accesses); rate < 0.999 {
 		t.Fatalf("warm small-footprint hit rate = %v", rate)
+	}
+}
+
+// TestCacheKeyCoversEveryField changes one field at a time, by
+// reflection, so a field added to Config without a place in CacheKey
+// fails here instead of aliasing two caches in a store.
+func TestCacheKeyCoversEveryField(t *testing.T) {
+	base := Config{Name: "L1D", Sets: 64, Ways: 12}
+	rt := reflect.TypeOf(base)
+	for i := 0; i < rt.NumField(); i++ {
+		changed := base
+		f := reflect.ValueOf(&changed).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		default:
+			t.Fatalf("field %s: kind %s needs a case here and a place in CacheKey", rt.Field(i).Name, f.Kind())
+		}
+		if changed.CacheKey() == base.CacheKey() {
+			t.Errorf("CacheKey ignores field %s", rt.Field(i).Name)
+		}
 	}
 }

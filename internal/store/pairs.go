@@ -44,7 +44,7 @@ func PairsKey(b workload.Benchmark, cfg cachesim.Config, hm heatmap.Config, maxP
 			"suite":      b.Suite,
 			"bench_ops":  fmt.Sprintf("%d", b.Ops),
 			"bench_seed": fmt.Sprintf("%d", b.Seed),
-			"cache":      fmt.Sprintf("%+v", cfg),
+			"cache":      cfg.CacheKey(),
 			"heatmap":    fmt.Sprintf("%+v", hm),
 			"max_pairs":  fmt.Sprintf("%d", maxPairs),
 			"split_seed": fmt.Sprintf("%d", splitSeed),

@@ -393,6 +393,13 @@ func TestPairsRoundTrip(t *testing.T) {
 	if _, err := s.LoadPairs(k2); !errors.Is(err, ErrMiss) {
 		t.Fatalf("LoadPairs with different split seed: err = %v, want ErrMiss", err)
 	}
+
+	// So must a cache of the same shape under another policy.
+	fifo := cfg
+	fifo.Policy = cachesim.PolicyFIFO
+	if k.Digest() == PairsKey(b, fifo, hmCfg, 10, 42).Digest() {
+		t.Fatal("replacement policy is not part of the pairs key")
+	}
 }
 
 func TestWriteFileAtomic(t *testing.T) {

@@ -119,7 +119,7 @@ func itemInputs(bc BuildConfig, b workload.Benchmark, cfg cachesim.Config) map[s
 		"suite":         b.Suite,
 		"bench_ops":     fmt.Sprintf("%d", b.Ops),
 		"bench_seed":    fmt.Sprintf("%d", b.Seed),
-		"cache":         fmt.Sprintf("%+v", cfg),
+		"cache":         cfg.CacheKey(),
 		"heatmap":       fmt.Sprintf("%+v", bc.Heatmap),
 		"max_windows":   fmt.Sprintf("%d", bc.MaxWindows),
 		"shard_windows": fmt.Sprintf("%d", bc.ShardWindows),
@@ -147,7 +147,7 @@ func datasetKey(bc BuildConfig, benches []workload.Benchmark, cfgs []cachesim.Co
 	for _, cfg := range cfgs {
 		for _, b := range benches {
 			//lint:ignore unchecked-error hash.Hash writes never fail
-			fmt.Fprintf(h, "%s|%s|%s|%d|%d|%+v\n", b.Name, b.Group, b.Suite, b.Ops, b.Seed, cfg)
+			fmt.Fprintf(h, "%s|%s|%s|%d|%d|%s\n", b.Name, b.Group, b.Suite, b.Ops, b.Seed, cfg.CacheKey())
 		}
 	}
 	return store.Key{Kind: KindDataset, Format: ManifestFormat, Inputs: map[string]string{

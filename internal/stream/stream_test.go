@@ -211,6 +211,38 @@ func TestBuildMemoised(t *testing.T) {
 
 // Builds at different worker counts must publish byte-identical
 // manifests (par.Map commits in index order).
+// One store must keep two caches of one shape apart when they differ in
+// anything that changes the simulation. Item and shard keys once
+// rendered the cache with %+v, which calls Config.String and prints
+// sets×ways only, so whichever policy was built first served its
+// windows and hit rate for the other.
+func TestBuildKeysOnWholeCacheConfig(t *testing.T) {
+	hm := testGeom()
+	benches := testBenches()[:1]
+	lru := cachesim.Config{Sets: 64, Ways: 12, Policy: cachesim.PolicyLRU}
+	fifo := cachesim.Config{Sets: 64, Ways: 12, Policy: cachesim.PolicyFIFO}
+	_, wantLRU := materialise(t, benches[0], lru, hm, 0)
+	_, wantFIFO := materialise(t, benches[0], fifo, hm, 0)
+	if wantLRU == wantFIFO {
+		t.Fatalf("test benchmark does not tell LRU from FIFO (hit rate %v under both)", wantLRU)
+	}
+	st := openStore(t)
+	bc := BuildConfig{Name: "policies", Heatmap: hm, ShardWindows: 4, Workers: 1}
+	man, _, err := Build(context.Background(), st, benches, []cachesim.Config{lru, fifo}, bc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Items) != 2 {
+		t.Fatalf("%d items, want 2", len(man.Items))
+	}
+	if got := man.Items[0].HitRate; got != wantLRU {
+		t.Errorf("LRU item hit rate %v, want %v", got, wantLRU)
+	}
+	if got := man.Items[1].HitRate; got != wantFIFO {
+		t.Errorf("FIFO item hit rate %v, want %v (LRU's is %v)", got, wantFIFO, wantLRU)
+	}
+}
+
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	hm := testGeom()
 	benches, cfgs := testBenches(), testCfgs()

@@ -1,14 +1,18 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// FuzzGemmBlockedVsRef drives the blocked kernel against gemmRef over
-// random shapes and data: exact bit equality for the float32 path (the
-// determinism contract), tolerance-bounded agreement for the int8 path
+// FuzzGemmBlockedVsRef drives the blocked driver, under every
+// micro-kernel the host can run, against gemmRef over random shapes and
+// adversarial data (fillAdversarial: normal variates plus a few signed
+// zeros, infinities, NaNs and denormals): exact bit equality for the
+// float32 path (the determinism contract), tolerance-bounded agreement
+// for the int8 path on finite data
 // (quantization is lossy by design, but its integer core is exact, so
 // the only slack needed is the final float32 scale multiply).
 func FuzzGemmBlockedVsRef(f *testing.F) {
@@ -24,32 +28,25 @@ func FuzzGemmBlockedVsRef(f *testing.F) {
 		a := make([]float32, m*k)
 		b := make([]float32, k*n)
 		c0 := make([]float32, m*n)
-		for i := range a {
-			a[i] = float32(rng.NormFloat64())
-		}
-		for i := range b {
-			b[i] = float32(rng.NormFloat64())
-		}
-		for i := range c0 {
-			c0[i] = float32(rng.NormFloat64())
-		}
+		fillAdversarial(rng, a)
+		fillAdversarial(rng, b)
+		fillAdversarial(rng, c0)
 
 		want := append([]float32(nil), c0...)
 		gemmRef(want, a, b, m, k, n, accumulate)
-		for _, workers := range []int{1, 5} {
-			got := append([]float32(nil), c0...)
-			gemmBlocked(got, a, b, m, k, n, accumulate, workers)
-			for i := range want {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("float32 %dx%dx%d acc=%v j%d: element %d: got %v want %v",
-						m, k, n, accumulate, workers, i, got[i], want[i])
-				}
+		for _, avx2 := range availableKernels() {
+			for _, workers := range []int{1, 5} {
+				got := append([]float32(nil), c0...)
+				gemmBlocked(avx2, got, a, b, m, k, n, accumulate, workers)
+				assertBitsEqual(t, got, want, fmt.Sprintf("float32 %dx%dx%d acc=%v avx2=%v j%d", m, k, n, accumulate, avx2, workers))
 			}
 		}
 
 		if k == 0 {
 			return
 		}
+		fillNormal(rng, a)
+		fillNormal(rng, b)
 		qa := make([]int8, len(a))
 		qb := make([]int8, len(b))
 		sa := QuantizeSymmetric(qa, a)

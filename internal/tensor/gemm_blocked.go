@@ -7,62 +7,75 @@ import (
 	"cachebox/internal/par"
 )
 
-// This file holds the cache-blocked, goroutine-tiled GEMM kernel that
-// replaced the naive row-banded loop (ROADMAP item 1). The structure
-// is the classic three-level blocking of high-performance BLAS:
+// This file holds the cache-blocked, goroutine-tiled GEMM: one driver,
+// one packing layout, and the portable micro-kernel. The structure is
+// the three-level blocking of BLIS:
 //
 //   - the output C is cut into gemmMC × gemmNC tiles, each owned by
 //     exactly one task (deterministic index-ordered ownership: task t
 //     owns tile (t / tilesN, t mod tilesN), and no two tasks write the
 //     same C element);
 //   - within a tile, the shared dimension is walked in gemmKC-deep
-//     blocks; the A block is packed depth-major and the B block packed
-//     row-contiguous into arena panels sized to stay cache-resident;
-//   - a gemmMR × gemmNR register micro-kernel accumulates each output
-//     patch across one depth block in local scalars.
+//     blocks, and each block of A and B is packed into micro-panels in
+//     arena scratch: A as gemmMR-row panels and B as gemmNR-column
+//     panels, both depth-major and zero-padded to a whole panel, so a
+//     micro-tile reads two contiguous streams and never a partial one;
+//   - a micro-kernel accumulates one gemmMR × gemmNR patch of C across
+//     one depth block. Two kernels share that contract: gemmMicroGo
+//     below, and on amd64 hosts with AVX2 the assembly kernel in
+//     gemm_amd64.s (see gemmMicro for the choice).
 //
 // Determinism and bit-exactness: every C element is accumulated in
 // strictly increasing p order — depth blocks are visited in order and
-// the micro-kernel walks p sequentially within a block — and every
-// multiply is rounded to float32 before the add (the explicit
-// float32() conversions below forbid FMA contraction). The result is
-// therefore byte-identical to the naive gemmRef triple loop and
-// independent of the worker count, which is what keeps the fig3/fig7
-// golden artifacts stable at any -j.
+// both kernels walk p sequentially within a block — and every product
+// is rounded to float32 before the add (explicit float32() conversions
+// in Go, VMULPS then VADDPS in assembly; never a fused multiply-add).
+// The result is therefore byte-identical to the naive gemmRef triple
+// loop, to either kernel and to any worker count, which is what keeps
+// the golden artifacts stable on every host at any -j.
 const (
-	// gemmMC is the tile height: gemmMC×gemmKC A panels are 64 KiB,
-	// comfortably L2-resident while the B panel streams.
+	// gemmMC is the tile height: the packed gemmMC×gemmKC A block is
+	// 64 KiB, L2-resident while the micro-tiles of a tile sweep it.
 	gemmMC = 64
-	// gemmKC is the depth block: gemmKC×gemmNR B micro-rows (8 KiB)
-	// stay L1-resident across the whole tile row sweep.
+	// gemmKC is the depth block: one gemmKC×gemmNR B micro-panel
+	// (16 KiB) stays L1-resident while every A micro-panel of the tile
+	// streams past it.
 	gemmKC = 256
-	// gemmNC is the tile width: the packed gemmKC×gemmNC B panel is
+	// gemmNC is the tile width: the packed gemmKC×gemmNC B block is
 	// 256 KiB, sized for the L2 slice the tile's task effectively owns.
 	gemmNC = 256
-	// gemmMR × gemmNR is the register tile: 32 scalar accumulators plus
-	// 8 B values and 4 A values live in registers in the unrolled
-	// micro-kernel.
+	// gemmMR × gemmNR is the micro-tile: on AVX2 eight YMM accumulators
+	// (4 rows × 2 registers of 8 lanes) plus two B registers, one
+	// broadcast A value and the product temporaries fill the sixteen
+	// vector registers.
 	gemmMR = 4
-	gemmNR = 8
+	gemmNR = 16
 
-	// gemmParallelMin is the m·n·k below which tiling overhead beats
-	// the win and the tiles run inline on the calling goroutine.
-	gemmParallelMin = 1 << 16
+	// gemmParallelMin is the m·n·k below which the tiles run inline on
+	// the calling goroutine: a par pool costs ~20 µs to start and join,
+	// which the AVX2 kernel fills with ~2^19 multiply-adds. Measured on
+	// the recording host (2 cores, AVX2 kernel, one worker vs two, shapes
+	// of two or more tiles): 16×64×512 (2^19) 33.6 vs 36.0 µs, 16×16×2048
+	// (2^19) 35.8 vs 42.3 µs; 32×64×512 (2^20) 53.0 vs 49.0 µs, 128×32×256
+	// (2^20) 47.9 vs 45.2 µs; 64×64×512 (2^21) 91.9 vs 66.9 µs. Two
+	// workers lose below 2^20, break even at it and win above it. The
+	// portable kernel crosses over one octave lower (2^19: 228 vs 137 µs);
+	// the constant is set for the kernel whose speed makes the pool's
+	// cost matter.
+	gemmParallelMin = 1 << 20
 )
 
 // gemmBlocked is the kernel driver: it cuts C into tiles and runs them
 // serially or across an internal/par pool. workers only changes the
-// schedule, never the result (each tile is owned by one task and each
-// element is summed in fixed p order).
-func gemmBlocked(c, a, b []float32, m, k, n int, accumulate bool, workers int) {
+// schedule, and avx2 only the micro-kernel (see gemmMicro); neither
+// changes the result.
+func gemmBlocked(avx2 bool, c, a, b []float32, m, k, n int, accumulate bool, workers int) {
 	if m <= 0 || n <= 0 {
 		return
 	}
 	if k <= 0 {
 		if !accumulate {
-			for i := range c[:m*n] {
-				c[i] = 0
-			}
+			clear(c[:m*n])
 		}
 		return
 	}
@@ -74,12 +87,12 @@ func gemmBlocked(c, a, b []float32, m, k, n int, accumulate bool, workers int) {
 	}
 	if workers <= 1 || m*n*k < gemmParallelMin {
 		for t := 0; t < tiles; t++ {
-			gemmTile(c, a, b, m, k, n, t, tilesN, accumulate)
+			gemmTile(avx2, c, a, b, m, k, n, t, tilesN, accumulate)
 		}
 		return
 	}
 	err := par.New(workers).Run(context.Background(), tiles, func(_ context.Context, t int) error {
-		gemmTile(c, a, b, m, k, n, t, tilesN, accumulate)
+		gemmTile(avx2, c, a, b, m, k, n, t, tilesN, accumulate)
 		return nil
 	})
 	// Tasks never return errors, so err can only be a panic captured
@@ -88,33 +101,52 @@ func gemmBlocked(c, a, b []float32, m, k, n int, accumulate bool, workers int) {
 	mustValidShape(err == nil, "tensor: gemm tile worker: %v", err)
 }
 
-// gemmTile computes one gemmMC × gemmNC output tile: pack panels per
-// depth block from the arena, then sweep the register micro-kernel
-// over the tile. Tile t covers C rows [ic, ic+mc) and cols [jc, jc+nc).
-func gemmTile(c, a, b []float32, m, k, n, t, tilesN int, accumulate bool) {
+// gemmTile computes one gemmMC × gemmNC output tile: pack both blocks
+// per depth block into arena scratch, then sweep the micro-kernel over
+// the tile with the B micro-panel in the outer loop, so it is read from
+// L1 by every A micro-panel. Tile t covers C rows [ic, ic+mc) and cols
+// [jc, jc+nc).
+//
+// Each panel and each C patch is re-sliced to exactly the extent the
+// kernel will touch, so a wrong shape panics here, in Go, instead of
+// reading out of bounds in assembly.
+func gemmTile(avx2 bool, c, a, b []float32, m, k, n, t, tilesN int, accumulate bool) {
 	ic := (t / tilesN) * gemmMC
 	jc := (t % tilesN) * gemmNC
 	mc := min(gemmMC, m-ic)
 	nc := min(gemmNC, n-jc)
 	aps := GetScratch(gemmMC * gemmKC)
 	bps := GetScratch(gemmKC * gemmNC)
-	ap, bp := aps.Data, bps.Data
 	for pc := 0; pc < k; pc += gemmKC {
 		kc := min(gemmKC, k-pc)
-		packA(ap, a, k, ic, pc, mc, kc)
-		packB(bp, b, n, jc, pc, nc, kc)
-		// On the first depth block of a non-accumulating GEMM the
-		// micro-kernel starts its accumulators at zero instead of loading
-		// C, so the output needs no separate zeroing pass.
-		first := pc == 0 && !accumulate
-		for i0 := 0; i0 < mc; i0 += gemmMR {
-			mr := min(gemmMR, mc-i0)
-			for j0 := 0; j0 < nc; j0 += gemmNR {
-				nr := min(gemmNR, nc-j0)
+		packA(aps.Data, a, k, ic, pc, mc, kc)
+		packB(bps.Data, b, n, jc, pc, nc, kc)
+		// On the first depth block of a non-accumulating GEMM the kernel
+		// starts its accumulators at zero instead of loading C, so the
+		// output needs no separate zeroing pass.
+		load := pc > 0 || accumulate
+		for jr := 0; jr < nc; jr += gemmNR {
+			bp := bps.Data[jr*kc : (jr+gemmNR)*kc]
+			nr := min(gemmNR, nc-jr)
+			for ir := 0; ir < mc; ir += gemmMR {
+				ap := aps.Data[ir*kc : (ir+gemmMR)*kc]
+				mr := min(gemmMR, mc-ir)
+				off := (ic+ir)*n + jc + jr
 				if mr == gemmMR && nr == gemmNR {
-					gemmMicro4x8(c, n, ic+i0, jc+j0, ap, bp, mc, nc, kc, i0, j0, first)
-				} else {
-					gemmMicroEdge(c, n, ic+i0, jc+j0, ap, bp, mc, nc, kc, i0, j0, mr, nr, first)
+					gemmMicro(avx2, c[off:off+(gemmMR-1)*n+gemmNR], n, ap, bp, kc, load)
+					continue
+				}
+				// Edge of the matrix: the panels are zero-padded, so run
+				// the full kernel into a stack tile and copy the valid part.
+				var edge [gemmMR * gemmNR]float32
+				if load {
+					for r := 0; r < mr; r++ {
+						copy(edge[r*gemmNR:r*gemmNR+nr], c[off+r*n:])
+					}
+				}
+				gemmMicro(avx2, edge[:], gemmNR, ap, bp, kc, load)
+				for r := 0; r < mr; r++ {
+					copy(c[off+r*n:off+r*n+nr], edge[r*gemmNR:])
 				}
 			}
 		}
@@ -124,135 +156,107 @@ func gemmTile(c, a, b []float32, m, k, n, t, tilesN int, accumulate bool) {
 }
 
 // packA copies the A block rows [ic, ic+mc) × depth [pc, pc+kc) into
-// ap depth-major (ap[p*mc+i]), so one depth step of a micro-tile reads
-// its gemmMR A values contiguously.
+// gemmMR-row micro-panels: the panel of rows ir..ir+gemmMR starts at
+// ap[ir*kc] and holds ap[ir*kc+p*gemmMR+r] = A[ic+ir+r, pc+p], with
+// rows past mc zero. One depth step of a micro-tile reads its gemmMR A
+// values contiguously and a whole micro-tile reads one contiguous panel.
 func packA(ap, a []float32, k, ic, pc, mc, kc int) {
 	l := obs.StartLeaf("tensor.pack")
-	for i := 0; i < mc; i++ {
-		row := a[(ic+i)*k+pc : (ic+i)*k+pc+kc]
-		for p, v := range row {
-			ap[p*mc+i] = v
+	for ir := 0; ir < mc; ir += gemmMR {
+		panel := ap[ir*kc : (ir+gemmMR)*kc]
+		src := a[(ic+ir)*k+pc:]
+		if mc-ir >= gemmMR {
+			r0, r1, r2, r3 := src[:kc], src[k:k+kc], src[2*k:2*k+kc], src[3*k:3*k+kc]
+			for p := range r0 {
+				d := panel[p*gemmMR : p*gemmMR+gemmMR : p*gemmMR+gemmMR]
+				d[0], d[1], d[2], d[3] = r0[p], r1[p], r2[p], r3[p]
+			}
+			continue
+		}
+		clear(panel)
+		for r := 0; r < mc-ir; r++ {
+			for p, v := range src[r*k : r*k+kc] {
+				panel[p*gemmMR+r] = v
+			}
 		}
 	}
 	l.End()
 }
 
 // packB copies the B block depth [pc, pc+kc) × cols [jc, jc+nc) into
-// bp row-contiguous (bp[p*nc+j]): dense panels instead of strides
-// across the full matrix width.
+// gemmNR-column micro-panels: the panel of cols jr..jr+gemmNR starts at
+// bp[jr*kc] and holds bp[jr*kc+p*gemmNR+x] = B[pc+p, jc+jr+x], with
+// cols past nc zero.
 func packB(bp, b []float32, n, jc, pc, nc, kc int) {
 	l := obs.StartLeaf("tensor.pack")
-	for p := 0; p < kc; p++ {
-		copy(bp[p*nc:p*nc+nc], b[(pc+p)*n+jc:(pc+p)*n+jc+nc])
+	for jr := 0; jr < nc; jr += gemmNR {
+		panel := bp[jr*kc : (jr+gemmNR)*kc]
+		src := b[pc*n+jc+jr:]
+		if nr := nc - jr; nr < gemmNR {
+			clear(panel)
+			for p := 0; p < kc; p++ {
+				copy(panel[p*gemmNR:p*gemmNR+nr], src[p*n:])
+			}
+			continue
+		}
+		// Sixteen assignments, not copy(): a 64-byte copy is a memmove
+		// call, and packB measured a fifth slower with it.
+		for p := 0; p < kc; p++ {
+			d := (*[gemmNR]float32)(panel[p*gemmNR:])
+			s := (*[gemmNR]float32)(src[p*n:])
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+			d[8], d[9], d[10], d[11], d[12], d[13], d[14], d[15] = s[8], s[9], s[10], s[11], s[12], s[13], s[14], s[15]
+		}
 	}
 	l.End()
 }
 
-// gemmMicro4x8 is the full register tile: 4 C rows × 8 C cols
-// accumulated across one packed depth block in 32 scalar accumulators.
-// ci/cj address the tile's top-left C element; i0/j0 address it inside
-// the packed panels. The float32() conversions are load-bearing: they
-// round every product before its add, forbidding FMA contraction so
-// the kernel is bit-identical to gemmRef on every platform.
+// gemmMicroGo is the portable micro-kernel, the only one off amd64 and
+// the differential reference for the assembly one: C[0:4, 0:16] (+)=
+// Ap·Bp over kc depth steps, where ap and bp are one packed micro-panel
+// each (kc*gemmMR and kc*gemmNR values), c starts at the patch's
+// top-left element with row stride ldc, and load says whether the
+// accumulators start from C or from zero. The patch is computed as
+// eight 2×4 blocks, each a full pass over the (L1-resident) panels:
+// eight accumulators, two A and four B values are what stays in
+// sixteen scalar registers without spilling, which measured 1.6× the
+// rate of a 4×8 block on the same panels. The float32() conversions
+// are load-bearing: they round every product before its add,
+// forbidding FMA contraction, so the kernel is bit-identical to
+// gemmRef on every platform.
 //
-//cbx:hotpath innermost GEMM register tile; runs millions of times per train step
-func gemmMicro4x8(c []float32, n, ci, cj int, ap, bp []float32, mc, nc, kc, i0, j0 int, first bool) {
-	r0 := c[ci*n+cj : ci*n+cj+8 : ci*n+cj+8]
-	r1 := c[(ci+1)*n+cj : (ci+1)*n+cj+8 : (ci+1)*n+cj+8]
-	r2 := c[(ci+2)*n+cj : (ci+2)*n+cj+8 : (ci+2)*n+cj+8]
-	r3 := c[(ci+3)*n+cj : (ci+3)*n+cj+8 : (ci+3)*n+cj+8]
-	var c00, c01, c02, c03, c04, c05, c06, c07 float32
-	var c10, c11, c12, c13, c14, c15, c16, c17 float32
-	var c20, c21, c22, c23, c24, c25, c26, c27 float32
-	var c30, c31, c32, c33, c34, c35, c36, c37 float32
-	if !first {
-		c00, c01, c02, c03, c04, c05, c06, c07 = r0[0], r0[1], r0[2], r0[3], r0[4], r0[5], r0[6], r0[7]
-		c10, c11, c12, c13, c14, c15, c16, c17 = r1[0], r1[1], r1[2], r1[3], r1[4], r1[5], r1[6], r1[7]
-		c20, c21, c22, c23, c24, c25, c26, c27 = r2[0], r2[1], r2[2], r2[3], r2[4], r2[5], r2[6], r2[7]
-		c30, c31, c32, c33, c34, c35, c36, c37 = r3[0], r3[1], r3[2], r3[3], r3[4], r3[5], r3[6], r3[7]
-	}
-	apOff, bpOff := i0, j0
-	for p := 0; p < kc; p++ {
-		av := ap[apOff : apOff+4 : apOff+4]
-		bv := bp[bpOff : bpOff+8 : bpOff+8]
-		apOff += mc
-		bpOff += nc
-		b0, b1, b2, b3 := bv[0], bv[1], bv[2], bv[3]
-		b4, b5, b6, b7 := bv[4], bv[5], bv[6], bv[7]
-		a0 := av[0]
-		c00 += float32(a0 * b0)
-		c01 += float32(a0 * b1)
-		c02 += float32(a0 * b2)
-		c03 += float32(a0 * b3)
-		c04 += float32(a0 * b4)
-		c05 += float32(a0 * b5)
-		c06 += float32(a0 * b6)
-		c07 += float32(a0 * b7)
-		a1 := av[1]
-		c10 += float32(a1 * b0)
-		c11 += float32(a1 * b1)
-		c12 += float32(a1 * b2)
-		c13 += float32(a1 * b3)
-		c14 += float32(a1 * b4)
-		c15 += float32(a1 * b5)
-		c16 += float32(a1 * b6)
-		c17 += float32(a1 * b7)
-		a2 := av[2]
-		c20 += float32(a2 * b0)
-		c21 += float32(a2 * b1)
-		c22 += float32(a2 * b2)
-		c23 += float32(a2 * b3)
-		c24 += float32(a2 * b4)
-		c25 += float32(a2 * b5)
-		c26 += float32(a2 * b6)
-		c27 += float32(a2 * b7)
-		a3 := av[3]
-		c30 += float32(a3 * b0)
-		c31 += float32(a3 * b1)
-		c32 += float32(a3 * b2)
-		c33 += float32(a3 * b3)
-		c34 += float32(a3 * b4)
-		c35 += float32(a3 * b5)
-		c36 += float32(a3 * b6)
-		c37 += float32(a3 * b7)
-	}
-	r0[0], r0[1], r0[2], r0[3], r0[4], r0[5], r0[6], r0[7] = c00, c01, c02, c03, c04, c05, c06, c07
-	r1[0], r1[1], r1[2], r1[3], r1[4], r1[5], r1[6], r1[7] = c10, c11, c12, c13, c14, c15, c16, c17
-	r2[0], r2[1], r2[2], r2[3], r2[4], r2[5], r2[6], r2[7] = c20, c21, c22, c23, c24, c25, c26, c27
-	r3[0], r3[1], r3[2], r3[3], r3[4], r3[5], r3[6], r3[7] = c30, c31, c32, c33, c34, c35, c36, c37
-}
-
-// gemmMicroEdge handles partial tiles at the right/bottom matrix edges
-// with the same fixed p-order accumulation discipline as the unrolled
-// kernel, so edge elements are just as bit-exact.
-//
-//cbx:hotpath edge register tile of the blocked GEMM; same zero-alloc budget as the 4x8 kernel
-func gemmMicroEdge(c []float32, n, ci, cj int, ap, bp []float32, mc, nc, kc, i0, j0, mr, nr int, first bool) {
-	var acc [gemmMR * gemmNR]float32
-	if !first {
-		for r := 0; r < mr; r++ {
-			row := c[(ci+r)*n+cj : (ci+r)*n+cj+nr]
-			for x, v := range row {
-				acc[r*gemmNR+x] = v
+//cbx:hotpath innermost GEMM micro-tile; runs millions of times per train step
+func gemmMicroGo(c []float32, ldc int, ap, bp []float32, kc int, load bool) {
+	ap = ap[:kc*gemmMR]
+	for i := 0; i < gemmMR; i += 2 {
+		ai := ap[i:]
+		for h := 0; h < gemmNR; h += 4 {
+			r0 := c[i*ldc+h : i*ldc+h+4 : i*ldc+h+4]
+			r1 := c[(i+1)*ldc+h : (i+1)*ldc+h+4 : (i+1)*ldc+h+4]
+			var c00, c01, c02, c03 float32
+			var c10, c11, c12, c13 float32
+			if load {
+				c00, c01, c02, c03 = r0[0], r0[1], r0[2], r0[3]
+				c10, c11, c12, c13 = r1[0], r1[1], r1[2], r1[3]
 			}
-		}
-	}
-	apOff, bpOff := i0, j0
-	for p := 0; p < kc; p++ {
-		apr := ap[apOff : apOff+mr]
-		bpr := bp[bpOff : bpOff+nr]
-		apOff += mc
-		bpOff += nc
-		for r, av := range apr {
-			for x, bv := range bpr {
-				acc[r*gemmNR+x] += float32(av * bv)
+			bh := bp[h : (kc-1)*gemmNR+h+4]
+			for p := 0; p < kc; p++ {
+				av := ai[p*gemmMR : p*gemmMR+2 : p*gemmMR+2]
+				bv := bh[p*gemmNR : p*gemmNR+4 : p*gemmNR+4]
+				b0, b1, b2, b3 := bv[0], bv[1], bv[2], bv[3]
+				a0 := av[0]
+				c00 += float32(a0 * b0)
+				c01 += float32(a0 * b1)
+				c02 += float32(a0 * b2)
+				c03 += float32(a0 * b3)
+				a1 := av[1]
+				c10 += float32(a1 * b0)
+				c11 += float32(a1 * b1)
+				c12 += float32(a1 * b2)
+				c13 += float32(a1 * b3)
 			}
-		}
-	}
-	for r := 0; r < mr; r++ {
-		row := c[(ci+r)*n+cj : (ci+r)*n+cj+nr]
-		for x := range row {
-			row[x] = acc[r*gemmNR+x]
+			r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
+			r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
 		}
 	}
 }

@@ -1,50 +1,78 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
-// The differential GEMM suite: the blocked/tiled kernel must match the
-// naive gemmRef triple loop EXACTLY — same float32 bits, not "close" —
-// for every adversarial shape, both accumulate modes, and any worker
-// count. This is the same discipline as the repo's parallel-equivalence
-// goldens: determinism is bit-equality, never tolerance.
+// The differential GEMM suite: the blocked driver must match the naive
+// gemmRef triple loop EXACTLY — same float32 bits, not "close" — with
+// every micro-kernel the host can run, for every adversarial shape,
+// both accumulate modes, any worker count, and inputs that hold signed
+// zeros, infinities, NaNs and denormals. This is the same discipline as
+// the repo's parallel-equivalence goldens: determinism is bit-equality,
+// never tolerance.
 
-// diffShapes returns the adversarial (m, k, n) set: the full cross
-// product of the small degenerate sizes, each dimension swept across
-// its own block boundary (block−1, block, block+1, 2·block+3 — the
-// blocks differ per dimension: gemmMC rows, gemmKC depth, gemmNC
-// cols), and mixed cases where every dimension sits at an edge at
-// once. Edge sweeps hold the other dimensions at moderate co-prime
-// sizes so a stray stride bug cannot alias away.
-func diffShapes() [][3]int {
-	var shapes [][3]int
-	small := []int{1, 2, 3, 7}
-	for _, m := range small {
-		for _, k := range small {
-			for _, n := range small {
-				shapes = append(shapes, [3]int{m, k, n})
-			}
+// availableKernels returns gemmBlocked's avx2 argument for every
+// micro-kernel this host can run: the portable one always, the
+// assembly one where CPUID offers it.
+func availableKernels() []bool {
+	if hasAVX2 {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// forEachKernel runs fn as one subtest per micro-kernel and skips the
+// assembly kernel's subtest on hosts that cannot run it.
+func forEachKernel(t *testing.T, fn func(t *testing.T, avx2 bool)) {
+	t.Run("portable", func(t *testing.T) { fn(t, false) })
+	t.Run("avx2", func(t *testing.T) {
+		if !hasAVX2 {
+			t.Skip("no AVX2 micro-kernel on this host")
 		}
+		fn(t, true)
+	})
+}
+
+// posInf is a variable so that hostNaN is computed by the hardware, not
+// folded by the compiler.
+var posInf = float32(math.Inf(1))
+
+// hostNaN is the quiet NaN this hardware generates for an invalid
+// operation. It is the one NaN the inputs hold, because which of two
+// DIFFERENT NaNs survives a multiply or an add depends on operand order,
+// and for a commutative operation in Go — gemmRef's included — that is
+// the register allocator's choice, not the source's. With a single NaN
+// in play every result bit is pinned.
+var hostNaN = posInf - posInf
+
+// specials are the values ordinary random data never holds.
+// 1e-20·1e-25 is a product that only exists as a denormal, so a product
+// that skipped its rounding (an FMA) shows.
+var specials = []float32{
+	float32(math.Copysign(0, -1)), 0, posInf, -posInf, hostNaN,
+	1e-40, -3e-42, 1e-20, -1e-25, math.MaxFloat32, math.SmallestNonzeroFloat32,
+}
+
+// fillNormal fills v with standard normal variates.
+func fillNormal(rng *rand.Rand, v []float32) {
+	for i := range v {
+		v[i] = float32(rng.NormFloat64())
 	}
-	for _, m := range []int{gemmMC - 1, gemmMC, gemmMC + 1, 2*gemmMC + 3} {
-		shapes = append(shapes, [3]int{m, 33, 47})
+}
+
+// fillAdversarial fills v with normal variates and then overwrites a
+// few positions with specials: few enough that most of a large output
+// stays finite and is still compared digit for digit.
+func fillAdversarial(rng *rand.Rand, v []float32) {
+	fillNormal(rng, v)
+	for i := 0; i < len(v) && i < 6; i++ {
+		v[rng.Intn(len(v))] = specials[rng.Intn(len(specials))]
 	}
-	for _, k := range []int{gemmKC - 1, gemmKC, gemmKC + 1, 2*gemmKC + 3} {
-		shapes = append(shapes, [3]int{19, k, 29})
-	}
-	for _, n := range []int{gemmNC - 1, gemmNC, gemmNC + 1, 2*gemmNC + 3} {
-		shapes = append(shapes, [3]int{21, 37, n})
-	}
-	shapes = append(shapes,
-		[3]int{gemmMC + 1, gemmKC + 1, gemmNC + 1},
-		[3]int{2*gemmMC + 3, gemmKC - 1, gemmNC - 1},
-		[3]int{gemmMC - 1, gemmKC + 1, 2},
-		[3]int{1, 2*gemmKC + 3, gemmNC + 1},
-	)
-	return shapes
 }
 
 // assertBitsEqual fails on the first element whose float32 bit pattern
@@ -60,64 +88,46 @@ func assertBitsEqual(t *testing.T, got, want []float32, label string) {
 	}
 }
 
+// TestGemmBlockedMatchesRefExactly is the table: every m, n and k on
+// either side of its micro-tile (4×16), tile (64×256) and depth-block
+// (256) boundary, crossed in full.
 func TestGemmBlockedMatchesRefExactly(t *testing.T) {
-	rng := rand.New(rand.NewSource(90))
-	for _, sh := range diffShapes() {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := make([]float32, m*k)
-		b := make([]float32, k*n)
-		c0 := make([]float32, m*n)
-		for i := range a {
-			a[i] = float32(rng.NormFloat64())
-		}
-		for i := range b {
-			b[i] = float32(rng.NormFloat64())
-		}
-		for i := range c0 {
-			c0[i] = float32(rng.NormFloat64())
-		}
-		for _, accumulate := range []bool{false, true} {
-			want := append([]float32(nil), c0...)
-			gemmRef(want, a, b, m, k, n, accumulate)
-			for _, workers := range []int{1, 8} {
-				got := append([]float32(nil), c0...)
-				gemmBlocked(got, a, b, m, k, n, accumulate, workers)
-				label := testLabel(m, k, n, accumulate, workers)
-				assertBitsEqual(t, got, want, label)
+	ms := []int{1, 3, 4, 5, gemmMC, gemmMC + 1}
+	ns := []int{1, gemmNR - 1, gemmNR, gemmNR + 1, gemmNC, gemmNC + 1}
+	ks := []int{0, 1, gemmKC - 1, gemmKC, gemmKC + 1}
+	forEachKernel(t, func(t *testing.T, avx2 bool) {
+		rng := rand.New(rand.NewSource(90))
+		for _, m := range ms {
+			for _, n := range ns {
+				for _, k := range ks {
+					a := make([]float32, m*k)
+					b := make([]float32, k*n)
+					c0 := make([]float32, m*n)
+					fillAdversarial(rng, a)
+					fillAdversarial(rng, b)
+					fillAdversarial(rng, c0)
+					for _, accumulate := range []bool{false, true} {
+						want := append([]float32(nil), c0...)
+						gemmRef(want, a, b, m, k, n, accumulate)
+						for _, workers := range []int{1, 8} {
+							got := append([]float32(nil), c0...)
+							gemmBlocked(avx2, got, a, b, m, k, n, accumulate, workers)
+							assertBitsEqual(t, got, want, fmt.Sprintf("gemm %dx%dx%d accumulate=%v j%d", m, k, n, accumulate, workers))
+						}
+					}
+				}
 			}
 		}
-	}
-}
-
-func testLabel(m, k, n int, accumulate bool, workers int) string {
-	acc := "overwrite"
-	if accumulate {
-		acc = "accumulate"
-	}
-	return "gemm " + itoa(m) + "x" + itoa(k) + "x" + itoa(n) + " " + acc + " j" + itoa(workers)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	})
 }
 
 // TestGemmBlockedZeroK pins the k==0 edge: overwrite mode must zero the
 // output (an empty sum), accumulate mode must leave it untouched.
 func TestGemmBlockedZeroK(t *testing.T) {
 	c := []float32{1, 2, 3, 4}
-	gemmBlocked(c, nil, nil, 2, 0, 2, true, 1)
+	gemmBlocked(hasAVX2, c, nil, nil, 2, 0, 2, true, 1)
 	assertBitsEqual(t, c, []float32{1, 2, 3, 4}, "k=0 accumulate")
-	gemmBlocked(c, nil, nil, 2, 0, 2, false, 1)
+	gemmBlocked(hasAVX2, c, nil, nil, 2, 0, 2, false, 1)
 	assertBitsEqual(t, c, []float32{0, 0, 0, 0}, "k=0 overwrite")
 }
 
@@ -131,11 +141,38 @@ func TestGemmNoZeroSkip(t *testing.T) {
 	b := []float32{float32(math.Inf(1)), 2, 3, 4}
 	want := make([]float32, 2)
 	gemmRef(want, a, b, 1, 2, 2, false)
-	got := make([]float32, 2)
-	gemmBlocked(got, a, b, 1, 2, 2, false, 1)
-	assertBitsEqual(t, got, want, "zero-times-inf")
-	if !math.IsNaN(float64(got[0])) {
-		t.Fatalf("0*Inf column should be NaN, got %v", got[0])
+	for _, avx2 := range availableKernels() {
+		got := make([]float32, 2)
+		gemmBlocked(avx2, got, a, b, 1, 2, 2, false, 1)
+		assertBitsEqual(t, got, want, "zero-times-inf")
+		if !math.IsNaN(float64(got[0])) {
+			t.Fatalf("0*Inf column should be NaN, got %v", got[0])
+		}
+	}
+}
+
+// TestMatMulATBAndABT holds the two transposed products to gemmRef on
+// an explicitly transposed operand, bit for bit: they are the same
+// driver behind a scratch transpose, not a second summation order.
+func TestMatMulATBAndABT(t *testing.T) {
+	rng := rand.New(rand.NewSource(92))
+	for _, sh := range [][3]int{{1, 1, 1}, {5, 17, 3}, {gemmMC + 1, gemmKC + 1, gemmNR + 1}, {33, 300, 70}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		a, b := New(m, k), New(k, n)
+		fillAdversarial(rng, a.Data)
+		fillAdversarial(rng, b.Data)
+		want := New(m, n)
+		gemmRef(want.Data, a.Data, b.Data, m, k, n, false)
+		label := fmt.Sprintf("%dx%dx%d", m, k, n)
+		assertBitsEqual(t, MatMulATB(Transpose(a), b).Data, want.Data, "ATB "+label)
+		assertBitsEqual(t, MatMulABT(a, Transpose(b)).Data, want.Data, "ABT "+label)
+
+		c0 := New(m, n)
+		fillAdversarial(rng, c0.Data)
+		want = c0.Clone()
+		gemmRef(want.Data, a.Data, b.Data, m, k, n, true)
+		MatMulATBInto(c0, Transpose(a), b, true)
+		assertBitsEqual(t, c0.Data, want.Data, "ATBInto accumulate "+label)
 	}
 }
 
@@ -168,7 +205,7 @@ func TestGemmQ8MatchesScaledInt(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			got := make([]float32, m*n)
 			gemmQ8(got, a, b, m, k, n, scale, false, workers)
-			assertBitsEqual(t, got, want, "q8 "+testLabel(m, k, n, false, workers))
+			assertBitsEqual(t, got, want, fmt.Sprintf("q8 %dx%dx%d j%d", m, k, n, workers))
 		}
 	}
 }
@@ -233,24 +270,32 @@ func TestQuantizeTensorT(t *testing.T) {
 	}
 }
 
-// BenchmarkGemmBlocked and BenchmarkGemmRef are the CI gemm-bench
-// pair: scripts/bench_pr9.sh runs both on 512×512×512 and asserts the
-// blocked kernel wins by ≥2×.
+// benchGemm times fn on size³ and reports GFLOP/s.
 func benchGemm(b *testing.B, size int, fn func(c, a, bb []float32, m, k, n int)) {
 	rng := rand.New(rand.NewSource(7))
 	a := make([]float32, size*size)
 	bb := make([]float32, size*size)
 	c := make([]float32, size*size)
-	for i := range a {
-		a[i] = float32(rng.NormFloat64())
-		bb[i] = float32(rng.NormFloat64())
-	}
+	fillNormal(rng, a)
+	fillNormal(rng, bb)
 	flops := 2 * float64(size) * float64(size) * float64(size)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fn(c, a, bb, size, size, size)
 	}
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// benchEachKernel runs bench once per available micro-kernel, so the
+// portable kernel keeps its own number on hosts that never select it.
+func benchEachKernel(b *testing.B, bench func(b *testing.B, avx2 bool)) {
+	for _, avx2 := range availableKernels() {
+		name := "portable"
+		if avx2 {
+			name = "avx2"
+		}
+		b.Run(name, func(b *testing.B) { bench(b, avx2) })
+	}
 }
 
 func BenchmarkGemmRef512(b *testing.B) {
@@ -260,14 +305,18 @@ func BenchmarkGemmRef512(b *testing.B) {
 }
 
 func BenchmarkGemmBlocked512(b *testing.B) {
-	benchGemm(b, 512, func(c, a, bb []float32, m, k, n int) {
-		gemmBlocked(c, a, bb, m, k, n, false, 1)
+	benchEachKernel(b, func(b *testing.B, avx2 bool) {
+		benchGemm(b, 512, func(c, a, bb []float32, m, k, n int) {
+			gemmBlocked(avx2, c, a, bb, m, k, n, false, 1)
+		})
 	})
 }
 
 func BenchmarkGemmBlockedParallel512(b *testing.B) {
-	benchGemm(b, 512, func(c, a, bb []float32, m, k, n int) {
-		Gemm(c, a, bb, m, k, n, false)
+	benchEachKernel(b, func(b *testing.B, avx2 bool) {
+		benchGemm(b, 512, func(c, a, bb []float32, m, k, n int) {
+			gemmBlocked(avx2, c, a, bb, m, k, n, false, runtime.GOMAXPROCS(0))
+		})
 	})
 }
 

@@ -1,7 +1,5 @@
 package tensor
 
-import "cachebox/internal/obs"
-
 // ConvOutSize returns the spatial output size of a convolution over an
 // input of size in with the given kernel, stride and padding.
 func ConvOutSize(in, kernel, stride, pad int) int {
@@ -18,42 +16,8 @@ func ConvTransposeOutSize(in, kernel, stride, pad int) int {
 // [C*k*k, outH*outW] so convolution becomes a single GEMM. cols must be
 // pre-sized; out-of-bounds (padding) taps contribute zeros.
 func Im2col(cols, x []float32, c, h, w, kernel, stride, pad int) {
-	l := obs.StartLeaf("tensor.im2col")
-	defer l.End()
-	outH := ConvOutSize(h, kernel, stride, pad)
-	outW := ConvOutSize(w, kernel, stride, pad)
-	outHW := outH * outW
-	row := 0
-	for ch := 0; ch < c; ch++ {
-		base := ch * h * w
-		for ky := 0; ky < kernel; ky++ {
-			for kx := 0; kx < kernel; kx++ {
-				dst := cols[row*outHW : (row+1)*outHW]
-				i := 0
-				for oy := 0; oy < outH; oy++ {
-					sy := oy*stride - pad + ky
-					if sy < 0 || sy >= h {
-						for ox := 0; ox < outW; ox++ {
-							dst[i] = 0
-							i++
-						}
-						continue
-					}
-					srow := x[base+sy*w : base+(sy+1)*w]
-					for ox := 0; ox < outW; ox++ {
-						sx := ox*stride - pad + kx
-						if sx < 0 || sx >= w {
-							dst[i] = 0
-						} else {
-							dst[i] = srow[sx]
-						}
-						i++
-					}
-				}
-				row++
-			}
-		}
-	}
+	outHW := ConvOutSize(h, kernel, stride, pad) * ConvOutSize(w, kernel, stride, pad)
+	Im2colStrided(cols, outHW, 0, x, c, h, w, kernel, stride, pad)
 }
 
 // Col2im scatters a column matrix cols [C*k*k, outH*outW] back into an
@@ -61,35 +25,6 @@ func Im2col(cols, x []float32, c, h, w, kernel, stride, pad int) {
 // Im2col, used for conv backward and transposed-conv forward. x is not
 // cleared; callers zero it first when appropriate.
 func Col2im(x, cols []float32, c, h, w, kernel, stride, pad int) {
-	l := obs.StartLeaf("tensor.col2im")
-	defer l.End()
-	outH := ConvOutSize(h, kernel, stride, pad)
-	outW := ConvOutSize(w, kernel, stride, pad)
-	outHW := outH * outW
-	row := 0
-	for ch := 0; ch < c; ch++ {
-		base := ch * h * w
-		for ky := 0; ky < kernel; ky++ {
-			for kx := 0; kx < kernel; kx++ {
-				src := cols[row*outHW : (row+1)*outHW]
-				i := 0
-				for oy := 0; oy < outH; oy++ {
-					sy := oy*stride - pad + ky
-					if sy < 0 || sy >= h {
-						i += outW
-						continue
-					}
-					xrow := x[base+sy*w : base+(sy+1)*w]
-					for ox := 0; ox < outW; ox++ {
-						sx := ox*stride - pad + kx
-						if sx >= 0 && sx < w {
-							xrow[sx] += src[i]
-						}
-						i++
-					}
-				}
-				row++
-			}
-		}
-	}
+	outHW := ConvOutSize(h, kernel, stride, pad) * ConvOutSize(w, kernel, stride, pad)
+	Col2imStrided(x, cols, outHW, 0, c, h, w, kernel, stride, pad)
 }

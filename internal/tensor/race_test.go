@@ -10,13 +10,13 @@ import (
 // goroutines at once under `go test -race`. The inputs are shared
 // read-only across callers while each caller owns its output buffer —
 // exactly the contract the tiled kernel must uphold while callers also
-// compete for arena pack panels. The [96,48,64] operand sizes keep
-// m*n*k above the gemmParallelMin threshold so the par-pool tile path
-// is exercised, not the serial fallback.
+// compete for arena pack panels. The [96,48]×[48,256] operands make
+// two tiles and keep m*n*k above gemmParallelMin, so the par-pool tile
+// path is exercised, not the serial fallback.
 func TestGemmConcurrentCallers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randT(rng, 96, 48)
-	b := randT(rng, 48, 64)
+	b := randT(rng, 48, 256)
 	want := naiveMatMul(a, b)
 
 	const callers = 8
@@ -46,7 +46,7 @@ func TestGemmConcurrentCallers(t *testing.T) {
 // shows up as a wrong answer even when the race detector is off.
 func TestScratchArenaConcurrentHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	const m, k, n = 96, 48, 64 // above gemmParallelMin: tiles run on the pool
+	const m, k, n = 96, 48, 256 // two tiles, above gemmParallelMin: they run on the pool
 	a := randT(rng, m, k)
 	b := randT(rng, k, n)
 	want := New(m, n)
@@ -70,7 +70,7 @@ func TestScratchArenaConcurrentHammer(t *testing.T) {
 			c := make([]float32, m*n)
 			qc := make([]float32, m*n)
 			for r := 0; r < rounds; r++ {
-				gemmBlocked(c, a.Data, b.Data, m, k, n, false, 4)
+				gemmBlocked(hasAVX2, c, a.Data, b.Data, m, k, n, false, 4)
 				for i := range want.Data {
 					if c[i] != want.Data[i] {
 						errs <- "float32 result corrupted"
@@ -100,9 +100,9 @@ func TestScratchArenaConcurrentHammer(t *testing.T) {
 func TestGemmConcurrentAccumulate(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := randT(rng, 80, 40)
-	b := randT(rng, 40, 64)
+	b := randT(rng, 40, 512) // two tiles, above gemmParallelMin
 	base := naiveMatMul(a, b)
-	want := New(80, 64)
+	want := New(80, 512)
 	for i := range want.Data {
 		want.Data[i] = 2 * base.Data[i]
 	}
@@ -114,7 +114,7 @@ func TestGemmConcurrentAccumulate(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := New(80, 64)
+			c := New(80, 512)
 			MatMulInto(c, a, b, false)
 			MatMulInto(c, a, b, true) // accumulate a second product
 			results[i] = c

@@ -176,17 +176,6 @@ func TestMatMulIntoAccumulate(t *testing.T) {
 	tensorsClose(t, c, naiveMatMul(a, b), 1e-3)
 }
 
-func TestMatMulATBAndABT(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randT(rng, 7, 4) // k x m
-	b := randT(rng, 7, 5) // k x n
-	tensorsClose(t, MatMulATB(a, b), naiveMatMul(Transpose(a), b), 1e-3)
-
-	c := randT(rng, 6, 8) // m x k
-	d := randT(rng, 9, 8) // n x k
-	tensorsClose(t, MatMulABT(c, d), naiveMatMul(c, Transpose(d)), 1e-3)
-}
-
 func TestTranspose(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	at := Transpose(a)
@@ -195,6 +184,17 @@ func TestTranspose(t *testing.T) {
 	}
 	if at.Data[0] != 1 || at.Data[1] != 4 || at.Data[4] != 3 {
 		t.Fatalf("data %v", at.Data)
+	}
+
+	// More rows than one band of transposeInto, and not a multiple of it.
+	b := randT(rand.New(rand.NewSource(6)), 37, 21)
+	bt := Transpose(b)
+	for i := 0; i < 37; i++ {
+		for j := 0; j < 21; j++ {
+			if bt.Data[j*37+i] != b.Data[i*21+j] {
+				t.Fatalf("element (%d,%d) not transposed", i, j)
+			}
+		}
 	}
 }
 
@@ -294,9 +294,9 @@ func TestGemmLargeParallelConsistency(t *testing.T) {
 	// exactly, not approximately (see gemm_diff_test.go for the full
 	// adversarial sweep).
 	rng := rand.New(rand.NewSource(5))
-	a, b := randT(rng, 150, 70), randT(rng, 70, 90)
+	a, b := randT(rng, 150, 70), randT(rng, 70, 300) // 3×2 tiles, above gemmParallelMin
 	got := MatMul(a, b)
-	want := New(150, 90)
-	gemmRef(want.Data, a.Data, b.Data, 150, 70, 90, false)
+	want := New(150, 300)
+	gemmRef(want.Data, a.Data, b.Data, 150, 70, 300, false)
 	tensorsClose(t, got, want, 0)
 }
