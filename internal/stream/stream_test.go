@@ -209,8 +209,6 @@ func TestBuildMemoised(t *testing.T) {
 	}
 }
 
-// Builds at different worker counts must publish byte-identical
-// manifests (par.Map commits in index order).
 // One store must keep two caches of one shape apart when they differ in
 // anything that changes the simulation. Item and shard keys once
 // rendered the cache with %+v, which calls Config.String and prints
@@ -243,6 +241,8 @@ func TestBuildKeysOnWholeCacheConfig(t *testing.T) {
 	}
 }
 
+// Builds at different worker counts must publish byte-identical
+// manifests (par.Map commits in index order).
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	hm := testGeom()
 	benches, cfgs := testBenches(), testCfgs()

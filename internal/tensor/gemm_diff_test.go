@@ -90,11 +90,13 @@ func assertBitsEqual(t *testing.T, got, want []float32, label string) {
 
 // TestGemmBlockedMatchesRefExactly is the table: every m, n and k on
 // either side of its micro-tile (4×16), tile (64×256) and depth-block
-// (256) boundary, crossed in full.
+// (256) boundary, plus one size of three blocks with a ragged last one
+// (so a third tile's offset and a third depth block's accumulate load
+// are exercised), crossed in full.
 func TestGemmBlockedMatchesRefExactly(t *testing.T) {
-	ms := []int{1, 3, 4, 5, gemmMC, gemmMC + 1}
-	ns := []int{1, gemmNR - 1, gemmNR, gemmNR + 1, gemmNC, gemmNC + 1}
-	ks := []int{0, 1, gemmKC - 1, gemmKC, gemmKC + 1}
+	ms := []int{1, 3, 4, 5, gemmMC, gemmMC + 1, 2*gemmMC + 3}
+	ns := []int{1, gemmNR - 1, gemmNR, gemmNR + 1, gemmNC, gemmNC + 1, 2*gemmNC + 3}
+	ks := []int{0, 1, gemmKC - 1, gemmKC, gemmKC + 1, 2*gemmKC + 3}
 	forEachKernel(t, func(t *testing.T, avx2 bool) {
 		rng := rand.New(rand.NewSource(90))
 		for _, m := range ms {
@@ -156,7 +158,8 @@ func TestGemmNoZeroSkip(t *testing.T) {
 // driver behind a scratch transpose, not a second summation order.
 func TestMatMulATBAndABT(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
-	for _, sh := range [][3]int{{1, 1, 1}, {5, 17, 3}, {gemmMC + 1, gemmKC + 1, gemmNR + 1}, {33, 300, 70}} {
+	for _, sh := range [][3]int{{1, 1, 1}, {5, 17, 3}, {gemmMC + 1, gemmKC + 1, gemmNR + 1}, {33, 300, 70},
+		{2*gemmMC + 3, 2*gemmKC + 3, 2*gemmNC + 3}} {
 		m, k, n := sh[0], sh[1], sh[2]
 		a, b := New(m, k), New(k, n)
 		fillAdversarial(rng, a.Data)
