@@ -192,20 +192,12 @@ func packB(bp, b []float32, n, jc, pc, nc, kc int) {
 	for jr := 0; jr < nc; jr += gemmNR {
 		panel := bp[jr*kc : (jr+gemmNR)*kc]
 		src := b[pc*n+jc+jr:]
-		if nr := nc - jr; nr < gemmNR {
+		nr := min(gemmNR, nc-jr)
+		if nr < gemmNR {
 			clear(panel)
-			for p := 0; p < kc; p++ {
-				copy(panel[p*gemmNR:p*gemmNR+nr], src[p*n:])
-			}
-			continue
 		}
-		// Sixteen assignments, not copy(): a 64-byte copy is a memmove
-		// call, and packB measured a fifth slower with it.
 		for p := 0; p < kc; p++ {
-			d := (*[gemmNR]float32)(panel[p*gemmNR:])
-			s := (*[gemmNR]float32)(src[p*n:])
-			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
-			d[8], d[9], d[10], d[11], d[12], d[13], d[14], d[15] = s[8], s[9], s[10], s[11], s[12], s[13], s[14], s[15]
+			copy(panel[p*gemmNR:p*gemmNR+nr], src[p*n:])
 		}
 	}
 	l.End()
