@@ -16,9 +16,6 @@ import (
 	"cachebox/internal/core"
 	"cachebox/internal/heatmap"
 	"cachebox/internal/metrics"
-	"cachebox/internal/multicachesim"
-	"cachebox/internal/tensor"
-	"cachebox/internal/workload"
 )
 
 // fixture is the shared tiny-scale setup: suites, a trained
@@ -127,29 +124,6 @@ func benchWidths() []int {
 	return []int{1, 8}
 }
 
-// BenchmarkPairGeneration measures the worker pool on the hottest
-// serial path the harness had — ground-truth simulation for dataset
-// assembly — at pool width 1 (the old serial path) versus the widest
-// useful pool. Both widths build byte-identical datasets; only the
-// wall clock may differ.
-func BenchmarkPairGeneration(b *testing.B) {
-	f := getFixture(b)
-	cfgs := []CacheConfig{{Sets: 64, Ways: 12}, {Sets: 128, Ways: 6}}
-	for _, j := range benchWidths() {
-		b.Run(fmt.Sprintf("j=%d", j), func(b *testing.B) {
-			p := f.pipe
-			p.Workers = j
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Dataset(f.train, cfgs, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFig7Evaluation measures the full fig7-style test-set
 // evaluation through EvaluateAll: simulation fans out across the pool,
 // prediction stays serial. The hit-rate MAE over the test set rides
@@ -226,40 +200,6 @@ func BenchmarkFig10RQ4Hierarchy(b *testing.B) {
 			}
 		}
 	}
-}
-
-// BenchmarkFig11InferenceBatch is the paper's headline parallelism
-// result (Figure 11): batched inference folds each layer into one
-// large GEMM, so per-heatmap cost falls as the batch grows.
-func BenchmarkFig11InferenceBatch(b *testing.B) {
-	f := getFixture(b)
-	n := len(f.access)
-	for _, bs := range []int{1, 2, 4, 8, 16, 32} {
-		b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.modelC.Predict(f.access, f.params, bs)
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "heatmaps/s")
-		})
-	}
-}
-
-// BenchmarkFig11MultiCacheSim is Figure 11's comparison simulator.
-func BenchmarkFig11MultiCacheSim(b *testing.B) {
-	suite := SpecLike(2, 1, 50000)
-	tr := suite.Benchmarks[0].Trace()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := multicachesim.New(1, multicachesim.Config{Sets: 64, Ways: 12})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.RunTrace(tr)
-	}
-	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "accesses/s")
 }
 
 // BenchmarkFig12RQ6Response measures the scatter-point computation of
@@ -424,37 +364,4 @@ func BenchmarkAblationLambda(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkGEMM measures the tensor substrate's core kernel at a
-// CB-GAN-typical shape.
-func BenchmarkGEMM(b *testing.B) {
-	a := make([]float32, 128*256)
-	bb := make([]float32, 256*256)
-	c := make([]float32, 128*256)
-	for i := range a {
-		a[i] = float32(i%7) - 3
-	}
-	for i := range bb {
-		bb[i] = float32(i%5) - 2
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Gemm(c, a, bb, 128, 256, 256, false)
-	}
-	b.ReportMetric(2*128*256*256*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-}
-
-// BenchmarkCacheSimThroughput measures the ground-truth simulator, the
-// substrate every experiment's truth column depends on.
-func BenchmarkCacheSimThroughput(b *testing.B) {
-	suite := workload.SpecLike(2, 1, 50000)
-	tr := suite.Benchmarks[0].Trace()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cachesim.RunTrace(cachesim.New(cachesim.Config{Sets: 64, Ways: 12}), tr)
-	}
-	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "accesses/s")
 }

@@ -303,7 +303,7 @@ var (
 // Streaming dataset and sampling constructors. The streaming subsystem
 // (internal/stream) synthesises, simulates and windows traces one
 // heatmap window at a time through a bounded channel pipeline — byte-
-// identical to the materialised path — and persists datasets as
+// identical to the reference BuildPair pipeline — and persists datasets as
 // sharded content-addressed manifests; internal/sampling picks cluster-
 // representative windows so only a fraction need simulated ground
 // truth.

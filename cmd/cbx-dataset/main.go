@@ -3,8 +3,8 @@
 // streams every benchmark × cache configuration through the simulator
 // one heatmap window at a time (never materialising a trace) into
 // fixed-size shards, and publishes a manifest that cbx-dataset — and
-// Pipeline.DatasetSource / cbx-experiments -stream — can recall by
-// digest. With -sample only cluster-representative windows are
+// Pipeline.DatasetSource / cbx-experiments with its store on — can
+// recall by digest. With -sample only cluster-representative windows are
 // simulated (SimPoint-style), cutting simulator invocations while the
 // emitted weights keep training unbiased.
 //

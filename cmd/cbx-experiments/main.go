@@ -5,7 +5,7 @@
 //	cbx-experiments [-scale tiny|small|full] [-artifacts DIR] [-run LIST]
 //	                [-store DIR] [-no-store] [-split-seed N]
 //	                [-config FILE] [-shards N]
-//	                [-checkpoint-every N] [-resume] [-j N] [-stream]
+//	                [-checkpoint-every N] [-resume] [-j N]
 //	                [-trace FILE] [-figure LIST] [-tiny]
 //
 // -run selects a comma-separated subset of
@@ -18,11 +18,11 @@
 // once. Simulation results and models are additionally memoised in a
 // content-addressed artifact store (inspect it with cbx-store); a
 // rerun against a warm store performs zero simulator invocations.
-// -stream routes ground truth through the streaming dataset subsystem
-// (internal/stream): traces are simulated and windowed one heatmap
-// window at a time instead of being materialised, and training
-// datasets are built as sharded store manifests (inspect them with
-// cbx-dataset). Artifacts are byte-identical to the materialised path.
+// Ground truth always comes from internal/stream, which simulates and
+// windows a trace one heatmap window at a time; with the store on,
+// training datasets are sharded store manifests fetched per batch
+// (inspect them with cbx-dataset), with -no-store they are held in
+// memory. Artifacts are byte-identical either way.
 package main
 
 import (
@@ -52,7 +52,6 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 5, "write a training checkpoint every N epochs (0 disables)")
 	resume := flag.Bool("resume", false, "resume interrupted training from existing checkpoints")
 	workers := flag.Int("j", 0, "simulation worker-pool width (0 = GOMAXPROCS, 1 = serial); artifacts are byte-identical at any width")
-	streamMode := flag.Bool("stream", false, "stream ground truth window-by-window (bounded memory, sharded datasets); artifacts are byte-identical to the materialised path")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event file of the run's spans to this path")
 	figure := flag.String("figure", "", "alias for -run")
 	tiny := flag.Bool("tiny", false, "alias for -scale tiny")
@@ -79,7 +78,6 @@ func main() {
 	r.CheckpointEvery = *checkpointEvery
 	r.Resume = *resume
 	r.Workers = *workers
-	r.Stream = *streamMode
 	// Flag precedence matches `cachebox train`: defaults < -config file
 	// < explicitly set flags. The harness keeps epochs/seed/dataset
 	// experiment-controlled; the config contributes the batch-size

@@ -1,6 +1,7 @@
 // Command cbx-loadgen drives a cbx-gateway (or a single cbx-serve) with
 // closed-loop prediction traffic and reports latency percentiles and
-// throughput as JSON — the measurement harness behind BENCH_PR7.json.
+// throughput as JSON. BENCH_PR7.json is a frozen record of its output;
+// current serving numbers come from bench/'s serve-fleet workload.
 //
 //	cbx-loadgen -url http://127.0.0.1:8090 -duration 10s -qps 200 \
 //	    -concurrency 8 -conditions 64:12,128:8,256:4 -zipf-s 1.2 \

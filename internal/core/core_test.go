@@ -539,3 +539,65 @@ func TestModelSaveFileLoadFile(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
+
+// Score is the one place an evaluation clamps the prediction to its
+// access image, so the clamp is asserted here on pairs built to need
+// it: every access lands on one pixel, so an untrained generator's
+// diffuse raw output exceeds the access image on all the others, while
+// the hot pixel is large enough that HitRate's own cap at the access
+// total does not hide the difference.
+func TestScoreClampsPredictionToAccess(t *testing.T) {
+	m, _ := NewModel(tinyConfig())
+	hm := heatmap.Config{Height: 16, Width: 16, WindowInstr: 100, Overlap: 0.3}
+	params := []float32{0.375, 0.4}
+	var pairs []heatmap.Pair
+	var access []*heatmap.Heatmap
+	for i := 0; i < 3; i++ {
+		a := heatmap.NewHeatmap("sparse", 16, 16)
+		ms := heatmap.NewHeatmap("sparse.miss", 16, 16)
+		a.Pix[5*16+12], ms.Pix[5*16+12] = 4000, 800
+		a.Index, ms.Index = i, i
+		pairs = append(pairs, heatmap.Pair{Access: a, Miss: ms})
+		access = append(access, a)
+	}
+
+	raw := m.Predict(access, params, 2)
+	exceeds := false
+	clamped := make([]*heatmap.Heatmap, len(raw))
+	for i, p := range raw {
+		for j, v := range p.Pix {
+			if v > access[i].Pix[j] {
+				exceeds = true
+			}
+		}
+		clamped[i] = heatmap.ConstrainMiss(p, access[i])
+	}
+	if !exceeds {
+		t.Fatal("test premise broken: the raw prediction never exceeds the access image")
+	}
+	rawHR, err := heatmap.HitRate(hm, access, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantHR, err := heatmap.HitRate(hm, access, clamped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rawHR == wantHR {
+		t.Fatalf("test premise broken: clamping does not move the hit rate (%v)", rawHR)
+	}
+
+	trueHR, predHR, err := m.Score(hm, pairs, params, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(trueHR-0.8) > 1e-9 {
+		t.Fatalf("true hit rate %v, want 0.8", trueHR)
+	}
+	if predHR != wantHR {
+		t.Fatalf("predicted hit rate %v, want the clamped %v (unclamped is %v)", predHR, wantHR, rawHR)
+	}
+	if _, _, err := m.Score(hm, nil, params, 2); err == nil {
+		t.Fatal("Score accepted an empty pair set")
+	}
+}

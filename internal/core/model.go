@@ -182,6 +182,36 @@ func (m *Model) Predict(access []*heatmap.Heatmap, params []float32, batchSize i
 	return out
 }
 
+// Score evaluates the model on one benchmark's simulated pairs (paper
+// §4.4): the true hit rate of the pairs, and the hit rate implied by
+// the predicted miss heatmaps once each is clamped to its access image
+// (a cache cannot miss more often than it is accessed). Predict itself
+// stays unclamped. Like Predict, Score is not safe for concurrent use
+// on one Model.
+func (m *Model) Score(hm heatmap.Config, pairs []heatmap.Pair, params []float32, batchSize int) (trueHR, predHR float64, err error) {
+	if len(pairs) == 0 {
+		return 0, 0, fmt.Errorf("core: no heatmaps to score (trace too short for %dx%d windows)", hm.Height, hm.Width)
+	}
+	access := make([]*heatmap.Heatmap, len(pairs))
+	miss := make([]*heatmap.Heatmap, len(pairs))
+	for i, pr := range pairs {
+		access[i], miss[i] = pr.Access, pr.Miss
+	}
+	trueHR, err = heatmap.HitRate(hm, access, miss)
+	if err != nil {
+		return 0, 0, err
+	}
+	pred := m.Predict(access, params, batchSize)
+	for i := range pred {
+		pred[i] = heatmap.ConstrainMiss(pred[i], access[i])
+	}
+	predHR, err = heatmap.HitRate(hm, access, pred)
+	if err != nil {
+		return 0, 0, err
+	}
+	return trueHR, predHR, nil
+}
+
 // PredictConditioned runs one batched generator forward pass with
 // per-image conditioning — the serving layer's micro-batching hook.
 // Unlike Predict, which chunks a long slice under a single parameter

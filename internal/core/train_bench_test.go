@@ -2,14 +2,12 @@ package core
 
 import "testing"
 
-// benchTrainEpoch is the training half of the PR 10 bench set
-// (scripts/bench_pr10.sh): one full epoch over a fixed toy dataset,
-// through the serial loop and through the sharded trainer at several
-// worker counts, reported as samples/s so the JSON can state epoch
-// throughput per configuration. On a single-core machine the sharded
-// path pays its fan-out overhead without any parallel win; the ≥1.5x
-// gate in the script therefore only arms when the host has the cores
-// to show it.
+// benchTrainEpoch is a quick look at one full epoch over a fixed toy
+// dataset, through the serial loop and through the sharded trainer at
+// several worker counts, reported as samples/s (BENCH_PR10.json is the
+// frozen record of it). On a single-core machine the sharded path pays
+// its fan-out overhead without any parallel win. Claims about training
+// throughput come from bench/'s train-epoch workload, not from here.
 func benchTrainEpoch(b *testing.B, shards, workers int) {
 	samples := shardedSamples(16)
 	cfg := TrainConfig{Epochs: 1, BatchSize: 7, Seed: 9,

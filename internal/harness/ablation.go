@@ -6,7 +6,6 @@ import (
 	"cachebox/internal/heatmap"
 	"cachebox/internal/metrics"
 	"cachebox/internal/obs"
-	"cachebox/internal/par"
 	"cachebox/internal/workload"
 	"context"
 	"fmt"
@@ -31,7 +30,7 @@ type AblationResult struct {
 // trains a small model from scratch, so the sweep uses the tiny
 // profile geometry regardless of the runner's scale.
 func (r *Runner) Ablations() ([]AblationResult, error) {
-	_, abSpan := obs.Start(context.Background(), "harness.ablation")
+	ctx, abSpan := obs.Start(context.Background(), "harness.ablation")
 	defer abSpan.End()
 	prof := ProfileFor(Tiny)
 	prof.Epochs = 6
@@ -44,81 +43,25 @@ func (r *Runner) Ablations() ([]AblationResult, error) {
 	// them all (no data-regime threshold) so every point evaluates the
 	// same population.
 	evalWith := func(hm heatmap.Config, mc core.Config) (float64, int, error) {
-		// simulate runs one benchmark's sim and builds capped pairs
-		// under the point's heatmap geometry — the pooled stage of both
-		// the build and eval loops below.
-		simulate := func(b workload.Benchmark) ([]heatmap.Pair, error) {
-			metrics.SimRuns.Inc()
-			lt := cachesim.RunTrace(cachesim.New(cfg), b.Trace())
-			pairs, err := heatmap.BuildPair(hm, lt.Accesses, lt.Misses)
-			if err != nil {
-				return nil, err
-			}
-			if len(pairs) > prof.MaxPairs {
-				pairs = pairs[:prof.MaxPairs]
-			}
-			return pairs, nil
-		}
-		build := func(benches []workload.Benchmark) ([]core.Sample, error) {
-			built, err := par.Map(context.Background(), r.workers(), benches,
-				func(_ context.Context, _ int, b workload.Benchmark) ([]heatmap.Pair, error) {
-					return simulate(b)
-				})
-			if err != nil {
-				return nil, err
-			}
-			var out []core.Sample
-			for i, b := range benches {
-				for _, pr := range built[i] {
-					out = append(out, core.Sample{Access: pr.Access, Miss: pr.Miss,
-						Params: core.CacheParams(cfg), Bench: b.Name})
-				}
-			}
-			return out, nil
-		}
-		ds, err := build(train)
-		if err != nil || len(ds) == 0 {
+		truth := r.truth()
+		truth.Heatmap, truth.MaxWindows = hm, prof.MaxPairs
+		src, _, err := truth.Source(ctx, "ablation", train, []cachesim.Config{cfg}, 0, nil)
+		if err != nil {
 			return 0, 0, err
 		}
 		m, err := core.NewModel(mc)
 		if err != nil {
 			return 0, 0, err
 		}
-		if _, err := m.Train(ds, core.TrainConfig{Epochs: prof.Epochs, BatchSize: prof.BatchSize, Seed: 9}); err != nil {
+		if _, err := m.TrainSource(src, core.TrainConfig{Epochs: prof.Epochs, BatchSize: prof.BatchSize, Seed: 9}); err != nil {
 			return 0, 0, err
 		}
 		var diffs []float64
-		type abTruth struct {
-			pairs []heatmap.Pair
-			err   error
-		}
-		testTruths, terr := par.Map(context.Background(), r.workers(), test,
-			func(_ context.Context, _ int, b workload.Benchmark) (abTruth, error) {
-				pairs, perr := simulate(b)
-				return abTruth{pairs: pairs, err: perr}, nil
-			})
-		if terr != nil {
-			return 0, 0, terr
-		}
-		for i := range test {
-			pairs := testTruths[i].pairs
-			if testTruths[i].err != nil || len(pairs) == 0 {
+		for _, bt := range truth.Truths(ctx, test, cfg) {
+			if bt.Err != nil {
 				continue
 			}
-			var access, miss []*heatmap.Heatmap
-			for _, pr := range pairs {
-				access = append(access, pr.Access)
-				miss = append(miss, pr.Miss)
-			}
-			trueHR, err := heatmap.HitRate(hm, access, miss)
-			if err != nil {
-				continue
-			}
-			pred := m.Predict(access, core.CacheParams(cfg), 8)
-			for i := range pred {
-				pred[i] = heatmap.ConstrainMiss(pred[i], access[i])
-			}
-			predHR, err := heatmap.HitRate(hm, access, pred)
+			trueHR, predHR, err := m.Score(hm, bt.Pairs, core.CacheParams(cfg), 8)
 			if err != nil {
 				continue
 			}

@@ -1,12 +1,9 @@
 package harness
 
 import (
-	"cachebox/internal/cachesim"
 	"cachebox/internal/core"
-	"cachebox/internal/heatmap"
-	"cachebox/internal/metrics"
 	"cachebox/internal/obs"
-	"cachebox/internal/par"
+	"cachebox/internal/stream"
 	"cachebox/internal/workload"
 	"context"
 	"fmt"
@@ -21,79 +18,27 @@ type Fig10Result struct {
 	Combined, Standalone []ConfigResult
 }
 
-// hierTruth is one benchmark's full-hierarchy simulation: per-level
-// hit rates and capped heatmap pairs, plus per-level pair-building
-// errors. RunHierarchy resets the hierarchy before replaying, so each
-// pool task building its own hierarchy is identical to the old shared
-// serial one.
-type hierTruth struct {
-	rates []float64
-	pairs [][]heatmap.Pair
-	errs  []error
-	err   error // hierarchy construction failure
-}
-
-// hierTruths simulates benches over the L1/L2/L3 hierarchy on the
-// worker pool, in input order.
-func (r *Runner) hierTruths(benches []workload.Benchmark) []hierTruth {
-	out, err := par.Map(context.Background(), r.workers(), benches,
-		func(_ context.Context, _ int, b workload.Benchmark) (hierTruth, error) {
-			h, herr := cachesim.NewHierarchy(HierarchyConfigs...)
-			if herr != nil {
-				return hierTruth{err: herr}, nil
-			}
-			metrics.SimRuns.Inc()
-			lts := cachesim.RunHierarchy(h, b.Trace())
-			ht := hierTruth{
-				rates: make([]float64, len(lts)),
-				pairs: make([][]heatmap.Pair, len(lts)),
-				errs:  make([]error, len(lts)),
-			}
-			for i, lt := range lts {
-				ht.rates[i] = lt.HitRate()
-				pairs, perr := heatmap.BuildPair(r.Profile.Heatmap, lt.Accesses, lt.Misses)
-				if perr != nil {
-					ht.errs[i] = perr
-					continue
-				}
-				if r.Profile.MaxPairs > 0 && len(pairs) > r.Profile.MaxPairs {
-					pairs = pairs[:r.Profile.MaxPairs]
-				}
-				ht.pairs[i] = pairs
-			}
-			return ht, nil
-		})
-	if err != nil {
-		// Only a panicking task can get here; surface it on every row.
-		out = make([]hierTruth, len(benches))
-		for i := range out {
-			out[i] = hierTruth{err: err}
-		}
-	}
-	return out
-}
-
 // levelSamples builds per-level training samples by running the full
 // hierarchy, applying the paper's per-level data-regime thresholds.
 // Level i's access stream is level i-1's miss stream.
 func (r *Runner) levelSamples(benches []workload.Benchmark, withParams bool) ([][]core.Sample, error) {
 	out := make([][]core.Sample, len(HierarchyConfigs))
-	for bi, ht := range r.hierTruths(benches) {
-		if ht.err != nil {
-			return nil, ht.err
+	for bi, ht := range r.truth().Hierarchy(context.Background(), benches, HierarchyConfigs) {
+		if ht.Err != nil {
+			return nil, ht.Err
 		}
-		for i := range ht.rates {
-			if ht.rates[i] < levelThresholds[i] {
+		for i := range ht.Rates {
+			if ht.Rates[i] < levelThresholds[i] {
 				continue
 			}
-			if ht.errs[i] != nil {
-				return nil, ht.errs[i]
+			if ht.Errs[i] != nil {
+				return nil, ht.Errs[i]
 			}
 			var params []float32
 			if withParams {
 				params = core.CacheParams(HierarchyConfigs[i])
 			}
-			for _, pr := range ht.pairs[i] {
+			for _, pr := range ht.Pairs[i] {
 				out[i] = append(out[i], core.Sample{Access: pr.Access, Miss: pr.Miss, Params: params, Bench: benches[bi].Name})
 			}
 		}
@@ -103,21 +48,18 @@ func (r *Runner) levelSamples(benches []workload.Benchmark, withParams bool) ([]
 
 // evalLevel evaluates a model on one hierarchy level of one
 // benchmark's simulated truth.
-func (r *Runner) evalLevel(m *core.Model, b workload.Benchmark, ht hierTruth, level int) (trueHR, predHR float64, err error) {
-	if ht.err != nil {
-		return 0, 0, ht.err
+func (r *Runner) evalLevel(m *core.Model, ht stream.LevelTruth, level int) (trueHR, predHR float64, err error) {
+	if ht.Err != nil {
+		return 0, 0, ht.Err
 	}
-	if ht.errs[level] != nil {
-		return 0, 0, ht.errs[level]
-	}
-	if len(ht.pairs[level]) == 0 {
-		return 0, 0, fmt.Errorf("harness: %s L%d stream too short for heatmaps", b.Name, level+1)
+	if ht.Errs[level] != nil {
+		return 0, 0, ht.Errs[level]
 	}
 	var params []float32
 	if m.Cfg.CondDim > 0 {
 		params = core.CacheParams(HierarchyConfigs[level])
 	}
-	return r.evaluatePairs(m, b.Name, ht.pairs[level], params, 8)
+	return m.Score(r.Profile.Heatmap, ht.Pairs[level], params, 8)
 }
 
 // Fig10 runs RQ4: the combined model (no cache parameters) and three
@@ -192,7 +134,7 @@ func (r *Runner) Fig10() (*Fig10Result, error) {
 	markers := []string{"+", "*", "ø"} // the paper's exclusion markers per level
 	// One pooled hierarchy simulation per test benchmark, shared by
 	// every (level, variant) evaluation below.
-	testTruths := r.hierTruths(test)
+	testTruths := r.truth().Hierarchy(context.Background(), test, HierarchyConfigs)
 	for i, cfg := range HierarchyConfigs {
 		variants := []struct {
 			name  string
@@ -206,7 +148,7 @@ func (r *Runner) Fig10() (*Fig10Result, error) {
 			}
 			cr := ConfigResult{Config: cfg}
 			for bi, b := range test {
-				trueHR, predHR, err := r.evalLevel(m, b, testTruths[bi], i)
+				trueHR, predHR, err := r.evalLevel(m, testTruths[bi], i)
 				if err != nil {
 					continue
 				}

@@ -19,7 +19,7 @@ type Fig7Result struct {
 // Fig7 trains the mixed-suite model on a 64set-12way L1 and evaluates
 // every held-out benchmark above the L1 data-regime threshold.
 func (r *Runner) Fig7() (*Fig7Result, error) {
-	_, figSpan := obs.Start(context.Background(), "harness.fig7")
+	ctx, figSpan := obs.Start(context.Background(), "harness.fig7")
 	defer figSpan.End()
 	var all []workload.Benchmark
 	for _, s := range r.suites() {
@@ -28,11 +28,7 @@ func (r *Runner) Fig7() (*Fig7Result, error) {
 	train, test := r.split(all)
 	cfg := L1Default
 	m, err := r.trainOrLoad("fig7-rq1-mixed", func() (*core.Model, error) {
-		// The dataset arrives as a SampleSource: in-memory samples on
-		// the default path, a sharded streaming dataset under
-		// Runner.Stream. TrainSource is byte-for-byte Train, so the
-		// model artifact is identical either way.
-		src, err := r.datasetSource("fig7-rq1-mixed", train, []cachesim.Config{cfg}, levelThresholds[0])
+		src, _, err := r.truth().Source(ctx, "fig7-rq1-mixed", train, []cachesim.Config{cfg}, levelThresholds[0], nil)
 		if err != nil {
 			return nil, err
 		}
@@ -53,11 +49,11 @@ func (r *Runner) Fig7() (*Fig7Result, error) {
 	res := &Fig7Result{}
 	// Ground-truth simulation fans out across the worker pool;
 	// prediction and row commit stay serial in benchmark order.
-	truths := r.truths(test, cfg)
+	truths := r.truth().Truths(ctx, test, cfg)
 	for i, b := range test {
-		trueHR, predHR, err := 0.0, 0.0, truths[i].err
+		trueHR, predHR, err := 0.0, 0.0, truths[i].Err
 		if err == nil {
-			trueHR, predHR, err = r.evaluatePairs(m, b.Name, truths[i].pairs, core.CacheParams(cfg), 8)
+			trueHR, predHR, err = m.Score(r.Profile.Heatmap, truths[i].Pairs, core.CacheParams(cfg), 8)
 		}
 		if err != nil {
 			r.logf("[fig7] %s skipped: %v\n", b.Name, err)

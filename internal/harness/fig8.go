@@ -16,7 +16,7 @@ func absPct(trueHR, predHR float64) float64 { return metrics.AbsPctDiff(trueHR, 
 // cache configurations — shared by Figures 8, 9, 11 and 12.
 func (r *Runner) rq2Model(train []workload.Benchmark) (*core.Model, error) {
 	return r.trainOrLoad("rq2-multiconfig", func() (*core.Model, error) {
-		ds, err := r.dataset(train, RQ2Configs, levelThresholds[0])
+		src, _, err := r.truth().Source(context.Background(), "rq2-multiconfig", train, RQ2Configs, levelThresholds[0], nil)
 		if err != nil {
 			return nil, err
 		}
@@ -24,8 +24,8 @@ func (r *Runner) rq2Model(train []workload.Benchmark) (*core.Model, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.logf("[rq2] training on %d samples (%d benches x %d configs)\n", len(ds), len(train), len(RQ2Configs))
-		if _, err := model.Train(ds, r.trainConfig("rq2-multiconfig", r.Profile.Epochs, 2)); err != nil {
+		r.logf("[rq2] training on %d samples (%d benches x %d configs)\n", src.Len(), len(train), len(RQ2Configs))
+		if _, err := model.TrainSource(src, r.trainConfig("rq2-multiconfig", r.Profile.Epochs, 2)); err != nil {
 			return nil, err
 		}
 		return model, nil
@@ -75,12 +75,12 @@ func (r *Runner) evalConfigs(m *core.Model, test []workload.Benchmark, cfgs []ca
 	res := &Fig8Result{}
 	for _, cfg := range cfgs {
 		cr := ConfigResult{Config: cfg}
-		truths := r.truths(test, cfg)
+		truths := r.truth().Truths(context.Background(), test, cfg)
 		params := core.CacheParams(cfg)
 		for i, b := range test {
-			trueHR, predHR, err := 0.0, 0.0, truths[i].err
+			trueHR, predHR, err := 0.0, 0.0, truths[i].Err
 			if err == nil {
-				trueHR, predHR, err = r.evaluatePairs(m, b.Name, truths[i].pairs, params, 8)
+				trueHR, predHR, err = m.Score(r.Profile.Heatmap, truths[i].Pairs, params, 8)
 			}
 			if err != nil {
 				r.logf("[%s] %s skipped: %v\n", cfg, b.Name, err)
@@ -124,13 +124,13 @@ func (r *Runner) Fig12() (*Fig12Result, error) {
 	res := &Fig12Result{}
 	var nInt, nHigh int
 	for _, cfg := range RQ2Configs {
-		truths := r.truths(test, cfg)
+		truths := r.truth().Truths(context.Background(), test, cfg)
 		params := core.CacheParams(cfg)
 		for i, b := range test {
-			if truths[i].err != nil {
+			if truths[i].Err != nil {
 				continue
 			}
-			trueHR, predHR, err := r.evaluatePairs(m, b.Name, truths[i].pairs, params, 8)
+			trueHR, predHR, err := m.Score(r.Profile.Heatmap, truths[i].Pairs, params, 8)
 			if err != nil {
 				continue
 			}

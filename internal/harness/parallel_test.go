@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"io/fs"
@@ -91,11 +92,11 @@ func TestDatasetParallelEquivalence(t *testing.T) {
 	}
 	train, _ := r1.split(benches)
 	cfgs := []cachesim.Config{L1Default}
-	d1, err := r1.dataset(train, cfgs, 0.65)
+	d1, err := r1.truth().Samples(context.Background(), train, cfgs, 0.65)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d8, err := r8.dataset(train, cfgs, 0.65)
+	d8, err := r8.truth().Samples(context.Background(), train, cfgs, 0.65)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -13,9 +12,7 @@ import (
 
 	"cachebox/internal/cachesim"
 	"cachebox/internal/core"
-	"cachebox/internal/heatmap"
 	"cachebox/internal/metrics"
-	"cachebox/internal/obs"
 	"cachebox/internal/par"
 	"cachebox/internal/store"
 	"cachebox/internal/stream"
@@ -64,8 +61,9 @@ type Runner struct {
 	// key, so runs with different splits never share cached artifacts.
 	SplitSeed int64
 	// Store, when non-nil, memoises ground-truth simulation results
-	// and trained models: a rerun of the same figure against a warm
-	// store performs zero simulator invocations.
+	// and trained models, and holds training datasets as shards fetched
+	// per batch: a rerun of the same figure against a warm store
+	// performs zero simulator invocations.
 	Store *store.Store
 	// CheckpointEvery, when positive, makes trained models write a
 	// resumable checkpoint every N epochs next to the model artifact.
@@ -89,15 +87,6 @@ type Runner struct {
 	// reproducibility), and the dataset/checkpoint sections are managed
 	// by the runner itself.
 	Train core.TrainConfig
-	// Stream routes ground truth through the streaming dataset
-	// subsystem (internal/stream): traces are synthesised, simulated
-	// and windowed one heatmap window at a time through a bounded
-	// channel pipeline instead of being materialised, and — when a
-	// store is attached — training datasets are built as sharded
-	// content-addressed manifests and fetched per batch. Every
-	// artifact (cached pairs, trained models) is byte-identical to the
-	// materialised path at any Workers width.
-	Stream bool
 
 	// logMu serialises progress output: with Workers > 1 the pool's
 	// tasks may log (e.g. store warnings) concurrently.
@@ -155,186 +144,47 @@ func (r *Runner) split(benches []workload.Benchmark) (train, test []workload.Ben
 	return workload.Split(benches, 0.8, r.SplitSeed)
 }
 
-// pairsFor returns capped heatmap pairs plus the true hit rate for one
-// benchmark/config, memoised through the artifact store when one is
-// attached: a warm-store call returns the cached simulation result
-// without running the simulator at all.
-func (r *Runner) pairsFor(ctx context.Context, b workload.Benchmark, cfg cachesim.Config) ([]heatmap.Pair, float64, error) {
-	var key store.Key
-	if r.Store != nil {
-		key = store.PairsKey(b, cfg, r.Profile.Heatmap, r.Profile.MaxPairs, r.SplitSeed)
-		if art, err := r.Store.LoadPairs(key); err == nil {
-			return art.Pairs, art.HitRate, nil
-		}
+// truth is the runner's ground-truth source (internal/stream): every
+// figure takes its heatmap pairs, training datasets and hierarchy
+// simulations from it. An attached store memoises the pairs and holds
+// the training datasets as shards; results are byte-identical with or
+// without one and at any Workers width.
+func (r *Runner) truth() stream.Truth {
+	return stream.Truth{
+		Store:      r.Store,
+		Heatmap:    r.Profile.Heatmap,
+		MaxWindows: r.Profile.MaxPairs,
+		SplitSeed:  r.SplitSeed,
+		Workers:    r.workers(),
+		Logf:       r.logf,
 	}
-	var pairs []heatmap.Pair
-	var hr float64
-	if r.Stream {
-		// Streaming path: synthesis, simulation and windowing fused in
-		// one pass, never materialising the trace. stream.Run counts
-		// the sim run and emits pairs byte-identical to BuildPair; the
-		// cap is applied at the source, and without StopEarly the
-		// whole-trace hit rate is still exact — so the cached artifact
-		// below is byte-identical to the materialised path's.
-		res, err := stream.Run(ctx, b, cfg,
-			stream.RunConfig{Heatmap: r.Profile.Heatmap, MaxWindows: r.Profile.MaxPairs},
-			func(w stream.Window) error {
-				pairs = append(pairs, w.Pair)
-				return nil
-			})
-		if err != nil {
-			return nil, 0, err
-		}
-		hr = res.HitRate
-	} else {
-		metrics.SimRuns.Inc()
-		_, traceSpan := obs.Start(ctx, "workload.trace")
-		traceSpan.Tag("bench", b.Name)
-		tr := b.Trace()
-		traceSpan.End()
-		_, simSpan := obs.Start(ctx, "sim.run")
-		simSpan.Tag("bench", b.Name)
-		lt := cachesim.RunTrace(cachesim.New(cfg), tr)
-		simSpan.End()
-		_, pairSpan := obs.Start(ctx, "heatmap.pairs")
-		var err error
-		pairs, err = heatmap.BuildPair(r.Profile.Heatmap, lt.Accesses, lt.Misses)
-		pairSpan.End()
-		if err != nil {
-			return nil, 0, err
-		}
-		if r.Profile.MaxPairs > 0 && len(pairs) > r.Profile.MaxPairs {
-			pairs = pairs[:r.Profile.MaxPairs]
-		}
-		hr = lt.HitRate()
-	}
-	if r.Store != nil {
-		if err := r.Store.SavePairs(key, &store.PairsArtifact{Pairs: pairs, HitRate: hr}); err != nil {
-			r.logf("[store] warning: could not cache pairs for %s: %v\n", b.Name, err)
-		}
-	}
-	return pairs, hr, nil
 }
 
-// benchTruth is one benchmark's simulated ground truth: the parallel
-// simulation stage produces these, the serial commit stage consumes
-// them in benchmark order.
-type benchTruth struct {
-	pairs []heatmap.Pair
-	hr    float64
-	err   error
-}
-
-// truths runs pairsFor over benches × one config on the worker pool,
-// returning per-benchmark results in input order. Per-benchmark
-// failures are carried in the result (the serial callers decide
-// whether to skip or abort), so one short trace never cancels the
-// whole fan-out.
-func (r *Runner) truths(benches []workload.Benchmark, cfg cachesim.Config) []benchTruth {
-	out, err := par.Map(context.Background(), r.workers(), benches,
-		func(ctx context.Context, _ int, b workload.Benchmark) (benchTruth, error) {
-			pairs, hr, perr := r.pairsFor(ctx, b, cfg)
-			return benchTruth{pairs: pairs, hr: hr, err: perr}, nil
-		})
-	if err != nil {
-		// Only a panicking task can get here; surface it on every row
-		// so callers fail loudly instead of indexing a nil slice.
-		out = make([]benchTruth, len(benches))
-		for i := range out {
-			out[i] = benchTruth{err: err}
-		}
+// recipeTag names the training-recipe fields the runner's base config
+// overrides, e.g. "-bs8-sh4". A model trained under a different recipe
+// is a different artifact, so the tag is part of both cache names; it
+// is empty when nothing is overridden, which keeps the historical
+// names (tiny-fig7-rq1-mixed.cbgan) and store keys.
+func (r *Runner) recipeTag() string {
+	tag := ""
+	if r.Train.BatchSize > 0 {
+		tag += fmt.Sprintf("-bs%d", r.Train.BatchSize)
 	}
-	return out
-}
-
-// dataset assembles training samples over benches × cfgs, applying the
-// high-data-regime threshold. Simulation fans out across the worker
-// pool; samples are committed in the serial (cfg, bench) order, so the
-// dataset is identical to a serial build.
-func (r *Runner) dataset(benches []workload.Benchmark, cfgs []cachesim.Config, minHit float64) ([]core.Sample, error) {
-	type item struct {
-		cfg   cachesim.Config
-		bench workload.Benchmark
+	// Sharded training is a different float reduction order.
+	if r.Train.Parallel.Shards > 1 {
+		tag += fmt.Sprintf("-sh%d", r.Train.Parallel.Shards)
 	}
-	var items []item
-	for _, cfg := range cfgs {
-		for _, b := range benches {
-			items = append(items, item{cfg: cfg, bench: b})
-		}
-	}
-	res, err := par.Map(context.Background(), r.workers(), items,
-		func(ctx context.Context, _ int, it item) (benchTruth, error) {
-			pairs, hr, perr := r.pairsFor(ctx, it.bench, it.cfg)
-			if perr != nil {
-				return benchTruth{}, fmt.Errorf("harness: %s: %w", it.bench.Name, perr)
-			}
-			return benchTruth{pairs: pairs, hr: hr}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	var out []core.Sample
-	for i, it := range items {
-		if res[i].hr < minHit {
-			continue
-		}
-		params := core.CacheParams(it.cfg)
-		for _, pr := range res[i].pairs {
-			out = append(out, core.Sample{Access: pr.Access, Miss: pr.Miss, Params: params, Bench: it.bench.Name})
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("harness: empty dataset")
-	}
-	return out, nil
-}
-
-// datasetSource returns the training dataset as a lazily served
-// sample source. With Stream set and a store attached, the samples
-// come from a sharded streaming dataset (stream.Build): windows flow
-// through the bounded channel pipeline straight into content-addressed
-// shards and are fetched per batch during training, so the dataset is
-// never fully materialised in memory. Either way the served sample
-// sequence — and therefore any model trained on it — is byte-identical
-// to the in-memory path.
-func (r *Runner) datasetSource(name string, benches []workload.Benchmark, cfgs []cachesim.Config, minHit float64) (core.SampleSource, error) {
-	if r.Stream && r.Store != nil {
-		man, _, err := stream.Build(context.Background(), r.Store, benches, cfgs, stream.BuildConfig{
-			Name:       name,
-			Heatmap:    r.Profile.Heatmap,
-			MaxWindows: r.Profile.MaxPairs,
-			MinHitRate: minHit,
-			Workers:    r.workers(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		ds, err := stream.OpenDataset(r.Store, man)
-		if err != nil {
-			return nil, err
-		}
-		if ds.Len() == 0 {
-			return nil, fmt.Errorf("harness: empty dataset")
-		}
-		r.logf("[%s] %s\n", name, man.Summary())
-		return ds, nil
-	}
-	samples, err := r.dataset(benches, cfgs, minHit)
-	if err != nil {
-		return nil, err
-	}
-	return core.SliceSource(samples), nil
+	return tag
 }
 
 // modelPath places a cached model artifact.
 func (r *Runner) modelPath(name string) string {
-	return filepath.Join(r.ArtifactsDir, fmt.Sprintf("%s-%s.cbgan", r.Scale, name))
+	return filepath.Join(r.ArtifactsDir, fmt.Sprintf("%s-%s%s.cbgan", r.Scale, name, r.recipeTag()))
 }
 
-// modelKey derives the store key for a named trained model. Unlike the
-// legacy file cache (which keys on scale+name alone), it includes the
-// split seed: a model trained on a different train/test split is a
-// different artifact.
+// modelKey derives the store key for a named trained model. It
+// includes the split seed: a model trained on a different train/test
+// split is a different artifact.
 func (r *Runner) modelKey(name string) store.Key {
 	k := store.Key{
 		Kind:   "model",
@@ -345,11 +195,8 @@ func (r *Runner) modelKey(name string) store.Key {
 			"split_seed": fmt.Sprintf("%d", r.SplitSeed),
 		},
 	}
-	// Sharded training is a different float reduction order, hence a
-	// different artifact; serial runs keep the historical key so warm
-	// stores stay warm.
-	if r.Train.Parallel.Shards > 1 {
-		k.Inputs["shards"] = fmt.Sprintf("%d", r.Train.Parallel.Shards)
+	if tag := r.recipeTag(); tag != "" {
+		k.Inputs["recipe"] = tag
 	}
 	return k
 }
@@ -428,42 +275,6 @@ func (r *Runner) trainOrLoad(name string, build func() (*core.Model, error)) (*c
 		}
 	}
 	return m, nil
-}
-
-// evaluatePairs scores a model's prediction against one benchmark's
-// simulated pairs. It is the serial stage of an evaluation: the pairs
-// come from a (possibly parallel) truths call, but the generator's
-// forward pass is not safe for concurrent use on one model, so
-// prediction runs on the calling goroutine.
-func (r *Runner) evaluatePairs(m *core.Model, name string, pairs []heatmap.Pair, params []float32, batch int) (trueHR, predHR float64, err error) {
-	if len(pairs) == 0 {
-		return 0, 0, fmt.Errorf("harness: %s yields no heatmaps", name)
-	}
-	var access, miss []*heatmap.Heatmap
-	for _, pr := range pairs {
-		access = append(access, pr.Access)
-		miss = append(miss, pr.Miss)
-	}
-	trueHR, err = heatmap.HitRate(r.Profile.Heatmap, access, miss)
-	if err != nil {
-		return 0, 0, err
-	}
-	pred := m.Predict(access, params, batch)
-	for i := range pred {
-		pred[i] = heatmap.ConstrainMiss(pred[i], access[i])
-	}
-	predHR, err = heatmap.HitRate(r.Profile.Heatmap, access, pred)
-	return trueHR, predHR, err
-}
-
-// evaluate predicts a benchmark's hit rate under cfg with the model
-// and compares against the simulator.
-func (r *Runner) evaluate(m *core.Model, b workload.Benchmark, cfg cachesim.Config, batch int) (trueHR, predHR float64, err error) {
-	pairs, _, err := r.pairsFor(context.Background(), b, cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	return r.evaluatePairs(m, b.Name, pairs, core.CacheParams(cfg), batch)
 }
 
 // BenchRow is one per-benchmark result line.

@@ -2,13 +2,16 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"cachebox/internal/cachesim"
 	"cachebox/internal/core"
 	"cachebox/internal/metrics"
 	"cachebox/internal/store"
+	"cachebox/internal/workload"
 )
 
 // storeRunner builds a Tiny-scale runner with a store rooted in its own
@@ -151,5 +154,56 @@ func TestTrainOrLoadFromStore(t *testing.T) {
 	}
 	if !built {
 		t.Fatal("split-seed 43 model served from split-seed 42 cache entry")
+	}
+}
+
+// TestModelCacheKeysOnRecipe: the -config batch-size override changes
+// what trainOrLoad's build function trains, so runners that share a
+// store and an artifacts dir but differ in it must not serve each
+// other's models — from the store or from the legacy model file.
+func TestModelCacheKeysOnRecipe(t *testing.T) {
+	storeDir, artifacts := t.TempDir(), t.TempDir()
+	trained := 0
+	run := func(batchSize int) []byte {
+		t.Helper()
+		r := storeRunner(t, storeDir)
+		r.ArtifactsDir = artifacts
+		r.Train.BatchSize = batchSize
+		m, err := r.trainOrLoad("recipe", func() (*core.Model, error) {
+			trained++
+			model, err := core.NewModel(r.Profile.Model)
+			if err != nil {
+				return nil, err
+			}
+			b := r.specSuite().Benchmarks[0]
+			ds, err := r.truth().Samples(context.Background(), []workload.Benchmark{b}, []cachesim.Config{L1Default}, 0)
+			if err != nil {
+				return nil, err
+			}
+			if _, err := model.Train(ds, r.trainConfig("recipe", 1, 3)); err != nil {
+				return nil, err
+			}
+			return model, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	bs4 := run(4)
+	bs8 := run(8)
+	if trained != 2 {
+		t.Fatalf("batch size 8 was served the batch size 4 model (%d trainings)", trained)
+	}
+	if bytes.Equal(bs4, bs8) {
+		t.Fatal("batch sizes 4 and 8 trained byte-identical models")
+	}
+	if again := run(4); trained != 2 || !bytes.Equal(again, bs4) {
+		t.Fatalf("the batch size 4 recipe was not loaded back from the cache (%d trainings)", trained)
 	}
 }

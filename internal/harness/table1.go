@@ -94,15 +94,15 @@ func (r *Runner) Table1() (*Table1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		truths := r.truths(gb, cfg)
-		for i, b := range gb {
+		truths := r.truth().Truths(context.Background(), gb, cfg)
+		for i := range gb {
 			for _, pr := range preds {
 				d := metrics.AbsPctDiff(trueMisses[i], pr.PredictMissRate(traces[i], cfg))
 				baseDiffs[pr.Name()] = append(baseDiffs[pr.Name()], d)
 			}
-			trueHR, predHR, evErr := 0.0, 0.0, truths[i].err
+			trueHR, predHR, evErr := 0.0, 0.0, truths[i].Err
 			if evErr == nil {
-				trueHR, predHR, evErr = r.evaluatePairs(m, b.Name, truths[i].pairs, core.CacheParams(cfg), 8)
+				trueHR, predHR, evErr = m.Score(r.Profile.Heatmap, truths[i].Pairs, core.CacheParams(cfg), 8)
 			}
 			if evErr != nil {
 				continue

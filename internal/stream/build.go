@@ -28,7 +28,7 @@ type BuildConfig struct {
 	// defaults to 64.
 	ShardWindows int
 	// MinHitRate filters items whose simulated hit rate falls below
-	// it (matching Pipeline.Dataset's filter).
+	// it (matching Truth.Samples' filter).
 	MinHitRate float64
 	// Workers bounds build parallelism; 0 means GOMAXPROCS.
 	Workers int
@@ -103,8 +103,8 @@ func (c *shardCutter) flush() error {
 // representatives (and items owning none are skipped outright); the
 // emitted weights make the thinned dataset train as a population
 // estimate. The manifest's item order is cache-config major, matching
-// Pipeline.Dataset, so an exhaustive streamed dataset yields the exact
-// sample sequence the materialised path produces.
+// Truth.Samples, so an exhaustive dataset serves the exact sample
+// sequence the in-memory assembler produces.
 func Build(ctx context.Context, st *store.Store, benches []workload.Benchmark, cfgs []cachesim.Config, bc BuildConfig) (*Manifest, *store.Manifest, error) {
 	bc = bc.withDefaults()
 	if st == nil {
@@ -285,7 +285,7 @@ func simulateReps(ctx context.Context, st *store.Store, bc BuildConfig, bench wo
 
 // finishItem folds a summary into the item and applies the hit-rate
 // filter (only items with a known whole-trace hit rate can be
-// filtered, mirroring Pipeline.Dataset's `hr < minHitRate` skip).
+// filtered, mirroring Truth.Samples' `HitRate < minHitRate` skip).
 func finishItem(it Item, bc BuildConfig, sum itemSummary) Item {
 	it.HitRate = sum.HitRate
 	it.Windows = sum.Windows

@@ -18,7 +18,7 @@ const maxCachedShards = 8
 // at a time, implementing core.SampleSource so training never holds
 // more than a few shards in memory. Filtered and skipped items are
 // excluded; sample order is manifest item order then window order,
-// which matches Pipeline.Dataset's materialised ordering exactly.
+// which matches Truth.Samples' ordering exactly.
 type Dataset struct {
 	st  *store.Store
 	man *Manifest

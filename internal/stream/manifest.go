@@ -93,7 +93,7 @@ type Manifest struct {
 	Sampling *SamplingInfo `json:"sampling,omitempty"`
 
 	// Items holds every benchmark × cache entry in dataset order
-	// (cache-config major, matching Pipeline.Dataset).
+	// (cache-config major, matching Truth.Samples).
 	Items []Item `json:"items"`
 	// TotalWindows is the number of samples the dataset serves (the
 	// sum of usable items' windows).

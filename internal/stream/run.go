@@ -5,16 +5,20 @@
 // in the content-addressed store; shards are memoised per benchmark ×
 // cache configuration and pullable by sha256 digest.
 //
-// The package guarantees byte-identity with the materialised path:
-// the windows Run emits are exactly the pairs heatmap.BuildPair would
-// produce from the materialised trace, in the same order, and the
-// simulator statistics match cachesim.RunTrace — both properties are
-// proven by tests here and in internal/heatmap.
+// Truth (truth.go) is the ground-truth source of the public Pipeline
+// and the experiment harness; everything it returns comes from Run.
+//
+// The package guarantees byte-identity with the reference BuildPair
+// pipeline: the windows Run emits are exactly the pairs
+// heatmap.BuildPair would produce from the materialised trace, in the
+// same order, and the simulator statistics match cachesim.RunTrace —
+// both properties are proven by tests here and in internal/heatmap.
 package stream
 
 import (
 	"context"
 	"errors"
+	"strconv"
 
 	"cachebox/internal/cachesim"
 	"cachebox/internal/heatmap"
@@ -118,13 +122,19 @@ func Run(ctx context.Context, bench workload.Benchmark, cacheCfg cachesim.Config
 
 // produce is the run's producer goroutine body: synthesis, simulation,
 // and windowing fused into one pass over the access stream.
-func produce(ctx context.Context, bench workload.Benchmark, cacheCfg cachesim.Config, rc RunConfig, wins chan<- Window) (RunResult, error) {
+func produce(ctx context.Context, bench workload.Benchmark, cacheCfg cachesim.Config, rc RunConfig, wins chan<- Window) (res RunResult, _ error) {
 	_, span := obs.Start(ctx, "stream.run")
 	span.Tag("bench", bench.Name)
-	defer span.End()
 	metrics.SimRuns.Inc()
 
 	run := cachesim.NewStreamRun(cachesim.New(cacheCfg))
+	// Tagged once per run, so accesses/s per item reads off the trace.
+	defer func() {
+		span.TagInt("accesses", int(run.Stats().Accesses))
+		span.TagInt("windows", res.Windows)
+		span.Tag("complete", strconv.FormatBool(res.Complete))
+		span.End()
+	}()
 	ps, err := heatmap.NewPairStream(rc.Heatmap, bench.Name)
 	if err != nil {
 		return RunResult{}, err

@@ -10,7 +10,6 @@ import (
 	"cachebox/internal/metrics"
 	"cachebox/internal/obs"
 	"cachebox/internal/par"
-	"cachebox/internal/store"
 	"cachebox/internal/stream"
 	"cachebox/internal/workload"
 )
@@ -37,13 +36,6 @@ type Pipeline struct {
 	// 1 = the serial path. Results are committed in deterministic input
 	// order, so output is identical whatever the width.
 	Workers int
-	// Stream routes BenchPairs (and everything built on it: Dataset,
-	// Evaluate, EvaluateAll) through the streaming subsystem
-	// (internal/stream): the trace is synthesised, simulated and
-	// windowed one heatmap window at a time through a bounded channel
-	// pipeline instead of being materialised. Output — including any
-	// store artifacts — is byte-identical to the materialised path.
-	Stream bool
 }
 
 // NewPipeline returns a Pipeline with the default scaled-down heatmap
@@ -52,93 +44,38 @@ func NewPipeline() Pipeline {
 	return Pipeline{Heatmap: heatmap.DefaultConfig()}
 }
 
+// truth is the ground-truth source behind every method that builds
+// heatmap pairs.
+func (p Pipeline) truth() stream.Truth {
+	return stream.Truth{
+		Store:      p.Store,
+		Heatmap:    p.Heatmap,
+		MaxWindows: p.MaxPairsPerBench,
+		SplitSeed:  p.SplitSeed,
+		Workers:    p.Workers,
+	}
+}
+
 // BenchPairs simulates bench against a single cache level and returns
 // the aligned heatmap pairs plus the level's true hit rate.
 func (p Pipeline) BenchPairs(bench Benchmark, cfg CacheConfig) ([]HeatmapPair, float64, error) {
-	return p.benchPairs(context.Background(), bench, cfg)
-}
-
-// benchPairs is BenchPairs with an explicit context so worker-pool
-// callers thread their par.task span through to the stage spans.
-func (p Pipeline) benchPairs(ctx context.Context, bench Benchmark, cfg CacheConfig) ([]HeatmapPair, float64, error) {
-	var key store.Key
-	if p.Store != nil {
-		key = store.PairsKey(bench, cfg, p.Heatmap, p.MaxPairsPerBench, p.SplitSeed)
-		if art, err := p.Store.LoadPairs(key); err == nil {
-			return art.Pairs, art.HitRate, nil
-		}
-	}
-	var pairs []HeatmapPair
-	var hr float64
-	if p.Stream {
-		// Streamed: one fused pass over the access stream. stream.Run
-		// counts the sim run, applies the pair cap at the source, and —
-		// without StopEarly — still reports the exact whole-trace hit
-		// rate, so the cached artifact below stays byte-identical.
-		res, err := stream.Run(ctx, bench, cfg,
-			stream.RunConfig{Heatmap: p.Heatmap, MaxWindows: p.MaxPairsPerBench},
-			func(w stream.Window) error {
-				pairs = append(pairs, w.Pair)
-				return nil
-			})
-		if err != nil {
-			return nil, 0, fmt.Errorf("cachebox: %s: %w", bench.Name, err)
-		}
-		hr = res.HitRate
-	} else {
-		metrics.SimRuns.Inc()
-		_, traceSpan := obs.Start(ctx, "workload.trace")
-		traceSpan.Tag("bench", bench.Name)
-		tr := bench.Trace()
-		traceSpan.End()
-		_, simSpan := obs.Start(ctx, "sim.run")
-		simSpan.Tag("bench", bench.Name)
-		lt := cachesim.RunTrace(cachesim.New(cfg), tr)
-		simSpan.End()
-		_, pairSpan := obs.Start(ctx, "heatmap.pairs")
-		var err error
-		pairs, err = heatmap.BuildPair(p.Heatmap, lt.Accesses, lt.Misses)
-		pairSpan.End()
-		if err != nil {
-			return nil, 0, fmt.Errorf("cachebox: %s: %w", bench.Name, err)
-		}
-		if p.MaxPairsPerBench > 0 && len(pairs) > p.MaxPairsPerBench {
-			pairs = pairs[:p.MaxPairsPerBench]
-		}
-		hr = lt.HitRate()
-	}
-	if p.Store != nil {
-		//lint:ignore unchecked-error cache-fill failure only costs a future re-simulation
-		p.Store.SavePairs(key, &store.PairsArtifact{Pairs: pairs, HitRate: hr})
-	}
-	return pairs, hr, nil
+	return p.truth().Pairs(context.Background(), bench, cfg)
 }
 
 // LevelPairs simulates bench against a full hierarchy and returns the
 // heatmap pairs and true hit rate of each level. Level i's access
 // stream is level i-1's miss stream, as in the paper's RQ4 setup.
 func (p Pipeline) LevelPairs(bench Benchmark, cfgs []CacheConfig) ([][]HeatmapPair, []float64, error) {
-	h, err := cachesim.NewHierarchy(cfgs...)
-	if err != nil {
-		return nil, nil, err
+	lt := p.truth().Hierarchy(context.Background(), []Benchmark{bench}, cfgs)[0]
+	if lt.Err != nil {
+		return nil, nil, lt.Err
 	}
-	tr := bench.Trace()
-	metrics.SimRuns.Inc()
-	lts := cachesim.RunHierarchy(h, tr)
-	pairs := make([][]HeatmapPair, len(lts))
-	rates := make([]float64, len(lts))
-	for i, lt := range lts {
-		ps, err := heatmap.BuildPair(p.Heatmap, lt.Accesses, lt.Misses)
+	for _, err := range lt.Errs {
 		if err != nil {
-			return nil, nil, fmt.Errorf("cachebox: %s L%d: %w", bench.Name, i+1, err)
+			return nil, nil, err
 		}
-		if p.MaxPairsPerBench > 0 && len(ps) > p.MaxPairsPerBench {
-			ps = ps[:p.MaxPairsPerBench]
-		}
-		pairs[i] = ps
-		rates[i] = lt.HitRate()
 	}
-	return pairs, rates, nil
+	return lt.Pairs, lt.Rates, nil
 }
 
 // Dataset assembles CB-GAN training samples for every (benchmark,
@@ -146,52 +83,13 @@ func (p Pipeline) LevelPairs(bench Benchmark, cfgs []CacheConfig) ([][]HeatmapPa
 // parameters (paper RQ2: one model across configurations). Benchmarks
 // whose true hit rate falls below minHitRate are excluded — the
 // paper's §6.1 "high data regime" rule; pass 0 to keep everything.
+// Simulation fans out across Workers; samples are committed in
+// (cfg, bench) order, so the dataset is identical to a serial build.
 func (p Pipeline) Dataset(benches []Benchmark, cfgs []CacheConfig, minHitRate float64) ([]Sample, error) {
-	type item struct {
-		cfg   CacheConfig
-		bench Benchmark
-	}
-	var items []item
-	for _, cfg := range cfgs {
-		for _, b := range benches {
-			items = append(items, item{cfg: cfg, bench: b})
-		}
-	}
-	type built struct {
-		pairs []HeatmapPair
-		hr    float64
-	}
-	// Simulation fans out across the worker pool; samples are committed
-	// in the serial (cfg, bench) order below, so the dataset is
-	// identical to a serial build.
 	ctx, dsSpan := obs.Start(context.Background(), "pipeline.dataset")
-	dsSpan.TagInt("items", len(items))
+	dsSpan.TagInt("items", len(benches)*len(cfgs))
 	defer dsSpan.End()
-	res, err := par.Map(ctx, p.Workers, items,
-		func(ctx context.Context, _ int, it item) (built, error) {
-			pairs, hr, err := p.benchPairs(ctx, it.bench, it.cfg)
-			if err != nil {
-				return built{}, err
-			}
-			return built{pairs: pairs, hr: hr}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	var out []Sample
-	for i, it := range items {
-		if res[i].hr < minHitRate {
-			continue
-		}
-		params := core.CacheParams(it.cfg)
-		for _, pr := range res[i].pairs {
-			out = append(out, Sample{Access: pr.Access, Miss: pr.Miss, Params: params, Bench: it.bench.Name})
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cachebox: dataset is empty (all benchmarks filtered?)")
-	}
-	return out, nil
+	return p.truth().Samples(ctx, benches, cfgs, minHitRate)
 }
 
 // DatasetSource builds (or recalls from a warm store) a sharded
@@ -211,25 +109,7 @@ func (p Pipeline) DatasetSource(name string, benches []Benchmark, cfgs []CacheCo
 	if p.Store == nil {
 		return nil, nil, fmt.Errorf("cachebox: DatasetSource requires a Store")
 	}
-	man, _, err := stream.Build(context.Background(), p.Store, benches, cfgs, stream.BuildConfig{
-		Name:       name,
-		Heatmap:    p.Heatmap,
-		MaxWindows: p.MaxPairsPerBench,
-		MinHitRate: minHitRate,
-		Workers:    p.Workers,
-		Sampling:   smp,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	ds, err := stream.OpenDataset(p.Store, man)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ds.Len() == 0 {
-		return nil, nil, fmt.Errorf("cachebox: dataset is empty (all benchmarks filtered?)")
-	}
-	return ds, man, nil
+	return p.truth().Source(context.Background(), name, benches, cfgs, minHitRate, smp)
 }
 
 // Eval holds one benchmark's evaluation under one cache configuration.
@@ -249,7 +129,7 @@ func (p Pipeline) Evaluate(m *Model, bench Benchmark, cfg CacheConfig, batchSize
 	if err != nil {
 		return Eval{}, err
 	}
-	return p.evaluatePairs(m, bench, cfg, pairs, batchSize)
+	return p.score(m, bench, cfg, pairs, batchSize)
 }
 
 // EvalResult pairs one benchmark's evaluation with its error, so a
@@ -266,63 +146,29 @@ type EvalResult struct {
 // concurrent use on one model), and results return in benchmark order
 // regardless of scheduling.
 func (p Pipeline) EvaluateAll(m *Model, benches []Benchmark, cfg CacheConfig, batchSize int) []EvalResult {
-	type truth struct {
-		pairs []HeatmapPair
-		err   error
-	}
 	ctx, evalSpan := obs.Start(context.Background(), "pipeline.evaluate_all")
 	evalSpan.TagInt("benches", len(benches))
 	defer evalSpan.End()
-	truths, mapErr := par.Map(ctx, p.Workers, benches,
-		func(ctx context.Context, _ int, b Benchmark) (truth, error) {
-			pairs, _, err := p.benchPairs(ctx, b, cfg)
-			return truth{pairs: pairs, err: err}, nil
-		})
 	out := make([]EvalResult, len(benches))
-	if mapErr != nil {
-		// Only a panicking task can get here; surface it on every row.
-		for i := range out {
-			out[i] = EvalResult{Err: mapErr}
+	for i, bt := range p.truth().Truths(ctx, benches, cfg) {
+		ev, err := Eval{}, bt.Err
+		if err == nil {
+			ev, err = p.score(m, benches[i], cfg, bt.Pairs, batchSize)
 		}
-		return out
-	}
-	for i, b := range benches {
-		if truths[i].err != nil {
-			out[i] = EvalResult{Eval: Eval{Bench: b.Name, Config: cfg}, Err: truths[i].err}
-			continue
-		}
-		ev, err := p.evaluatePairs(m, b, cfg, truths[i].pairs, batchSize)
 		if err != nil {
-			ev.Bench, ev.Config = b.Name, cfg
+			ev.Bench, ev.Config = benches[i].Name, cfg
 		}
 		out[i] = EvalResult{Eval: ev, Err: err}
 	}
 	return out
 }
 
-// evaluatePairs is Evaluate's serial scoring stage over pre-simulated
-// pairs.
-func (p Pipeline) evaluatePairs(m *Model, bench Benchmark, cfg CacheConfig, pairs []HeatmapPair, batchSize int) (Eval, error) {
-	if len(pairs) == 0 {
-		return Eval{}, fmt.Errorf("cachebox: %s yields no heatmaps (trace too short for %dx%d windows)",
-			bench.Name, p.Heatmap.Height, p.Heatmap.Width)
-	}
-	var access, miss []*Heatmap
-	for _, pr := range pairs {
-		access = append(access, pr.Access)
-		miss = append(miss, pr.Miss)
-	}
-	trueHR, err := heatmap.HitRate(p.Heatmap, access, miss)
+// score is the serial scoring stage of Evaluate and EvaluateAll over
+// pre-simulated pairs.
+func (p Pipeline) score(m *Model, bench Benchmark, cfg CacheConfig, pairs []HeatmapPair, batchSize int) (Eval, error) {
+	trueHR, predHR, err := m.Score(p.Heatmap, pairs, core.CacheParams(cfg), batchSize)
 	if err != nil {
-		return Eval{}, err
-	}
-	pred := m.Predict(access, core.CacheParams(cfg), batchSize)
-	for i := range pred {
-		pred[i] = heatmap.ConstrainMiss(pred[i], access[i])
-	}
-	predHR, err := heatmap.HitRate(p.Heatmap, access, pred)
-	if err != nil {
-		return Eval{}, err
+		return Eval{}, fmt.Errorf("cachebox: %s: %w", bench.Name, err)
 	}
 	return Eval{
 		Bench:      bench.Name,

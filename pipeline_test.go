@@ -2,7 +2,11 @@ package cachebox
 
 import (
 	"math"
+	"reflect"
 	"testing"
+
+	"cachebox/internal/cachesim"
+	"cachebox/internal/heatmap"
 )
 
 func tinyPipe() Pipeline {
@@ -29,6 +33,34 @@ func TestPipelineBenchPairs(t *testing.T) {
 	for _, pr := range pairs {
 		if pr.Access.H != 16 || pr.Miss.W != 16 {
 			t.Fatalf("pair size %dx%d", pr.Access.H, pr.Miss.W)
+		}
+	}
+}
+
+// BenchPairs must equal the reference pipeline the stream tests are
+// held to — materialise the trace, RunTrace, BuildPair, cap — on a cold
+// store and again when the pairs come back out of it.
+func TestPipelineBenchPairsMatchesReference(t *testing.T) {
+	p := streamTestPipeline(t)
+	cfg := CacheConfig{Sets: 16, Ways: 2, BlockSize: 64}
+	for _, b := range streamTestBenches() {
+		lt := cachesim.RunTrace(cachesim.New(cfg), b.Trace())
+		want, err := heatmap.BuildPair(p.Heatmap, lt.Accesses, lt.Misses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) > p.MaxPairsPerBench {
+			want = want[:p.MaxPairsPerBench]
+		}
+		for _, state := range []string{"cold", "warm"} {
+			got, hr, err := p.BenchPairs(b, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hr != lt.HitRate() || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s (%s store): BenchPairs differs from the reference (%d vs %d pairs, hit rate %v vs %v)",
+					b.Name, state, len(got), len(want), hr, lt.HitRate())
+			}
 		}
 	}
 }

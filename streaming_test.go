@@ -5,13 +5,12 @@ import (
 	"testing"
 )
 
-func streamTestPipeline(t *testing.T, streamed bool) Pipeline {
+func streamTestPipeline(t *testing.T) Pipeline {
 	t.Helper()
 	p := NewPipeline()
 	p.Heatmap.Height, p.Heatmap.Width = 8, 8
 	p.Heatmap.WindowInstr = 120
 	p.MaxPairsPerBench = 5
-	p.Stream = streamed
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -27,45 +26,13 @@ func streamTestBenches() []Benchmark {
 	return bs
 }
 
-// Pipeline.Stream must be an invisible switch: BenchPairs and Dataset
-// return byte-identical results on either path.
-func TestPipelineStreamEquivalence(t *testing.T) {
-	benches := streamTestBenches()
-	cfgs := []CacheConfig{{Sets: 16, Ways: 2, BlockSize: 64}}
-	mat, str := streamTestPipeline(t, false), streamTestPipeline(t, true)
-
-	wantPairs, wantHR, err := mat.BenchPairs(benches[0], cfgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPairs, gotHR, err := str.BenchPairs(benches[0], cfgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotHR != wantHR || !reflect.DeepEqual(gotPairs, wantPairs) {
-		t.Fatal("streamed BenchPairs differs from materialised")
-	}
-
-	want, err := mat.Dataset(benches, cfgs, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := str.Dataset(benches, cfgs, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("streamed Dataset differs from materialised")
-	}
-}
-
 // DatasetSource must serve the exact sample sequence Dataset returns
 // (exhaustive build), and a sampled build must serve a strict,
 // positively weighted subset.
 func TestDatasetSourceMatchesDataset(t *testing.T) {
 	benches := streamTestBenches()
 	cfgs := []CacheConfig{{Sets: 16, Ways: 2, BlockSize: 64}}
-	p := streamTestPipeline(t, false)
+	p := streamTestPipeline(t)
 
 	want, err := p.Dataset(benches, cfgs, 0.2)
 	if err != nil {
