@@ -98,9 +98,6 @@ type (
 	Phases = simpoint.Phases
 	// PhaseConfig controls phase analysis.
 	PhaseConfig = simpoint.Config
-	// CostModel holds per-level latency/energy costs for AMAT and
-	// energy roll-ups.
-	CostModel = cachesim.CostModel
 	// InferenceServer is the batched CB-GAN inference HTTP service
 	// (model registry + dynamic micro-batcher + backpressure).
 	InferenceServer = serve.Server
@@ -237,15 +234,6 @@ var (
 	AnalyzePhases = simpoint.Analyze
 	// DefaultPhaseConfig returns phase-analysis defaults.
 	DefaultPhaseConfig = simpoint.DefaultConfig
-	// AMAT computes average memory access time from hierarchy usage.
-	AMAT = cachesim.AMAT
-	// TypicalCostModel returns textbook per-level latency/energy costs.
-	TypicalCostModel = cachesim.TypicalCostModel
-	// UsageFromLevelTraces derives hierarchy usage from a simulated run.
-	UsageFromLevelTraces = cachesim.UsageFromLevelTraces
-	// UsageFromRates derives hierarchy usage from predicted per-level
-	// miss rates (the CB-GAN output form).
-	UsageFromRates = cachesim.UsageFromRates
 )
 
 // Serving constructors and errors.

@@ -6,12 +6,11 @@
 //	                [-store DIR] [-no-store] [-split-seed N]
 //	                [-config FILE] [-shards N]
 //	                [-checkpoint-every N] [-resume] [-j N]
-//	                [-trace FILE] [-figure LIST] [-tiny]
+//	                [-trace FILE]
 //
 // -run selects a comma-separated subset of
 // fig3,fig7,fig8,fig9,fig10,fig11,fig12,fig13,fig14,table1 (default:
-// all); -figure is an alias, and -tiny shorthand for -scale tiny.
-// -trace writes the run's spans as a Chrome trace-event JSON file
+// all). -trace writes the run's spans as a Chrome trace-event JSON file
 // (open in chrome://tracing or Perfetto). Trained models are cached
 // under the artifacts directory, so
 // experiments sharing a model (fig8/fig9/fig11/fig12/table1) train it
@@ -26,8 +25,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,39 +42,59 @@ import (
 )
 
 func main() {
-	scaleFlag := flag.String("scale", "small", "experiment scale: tiny, small or full")
-	artifacts := flag.String("artifacts", "artifacts", "directory for cached models and rendered figures")
-	run := flag.String("run", "all", "comma-separated experiments to run (fig3,fig7,...,fig14,table1)")
-	storeDir := flag.String("store", "", "artifact store directory (default: <artifacts>/store)")
-	noStore := flag.Bool("no-store", false, "disable the artifact store (always re-simulate)")
-	splitSeed := flag.Int64("split-seed", 42, "seed of the train/test benchmark split")
-	configPath := flag.String("config", "", "train.json TrainConfig base for harness training (batch size and parallel sections; explicitly passed flags override)")
-	shards := flag.Int("shards", 0, "data-parallel gradient shards per training batch (0/1 = serial; artifacts depend on -shards, never on -j)")
-	checkpointEvery := flag.Int("checkpoint-every", 5, "write a training checkpoint every N epochs (0 disables)")
-	resume := flag.Bool("resume", false, "resume interrupted training from existing checkpoints")
-	workers := flag.Int("j", 0, "simulation worker-pool width (0 = GOMAXPROCS, 1 = serial); artifacts are byte-identical at any width")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event file of the run's spans to this path")
-	figure := flag.String("figure", "", "alias for -run")
-	tiny := flag.Bool("tiny", false, "alias for -scale tiny")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *figure != "" {
-		*run = *figure
+// printer keeps the first write error, so run checks output once
+// instead of after every progress line.
+type printer struct {
+	w   io.Writer
+	err error
+}
+
+func (p *printer) printf(format string, args ...any) {
+	if p.err == nil {
+		_, p.err = fmt.Fprintf(p.w, format, args...)
 	}
-	if *tiny {
-		*scaleFlag = "tiny"
+}
+
+// run parses args, runs the selected experiments and returns the exit
+// code: 0 success, 1 an experiment or an output write failed, 2 usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	out, errs := &printer{w: stdout}, &printer{w: stderr}
+	fs := flag.NewFlagSet("cbx-experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scaleFlag := fs.String("scale", "small", "experiment scale: tiny, small or full")
+	artifacts := fs.String("artifacts", "artifacts", "directory for cached models and rendered figures")
+	runList := fs.String("run", "all", "comma-separated experiments to run (fig3,fig7,...,fig14,table1)")
+	storeDir := fs.String("store", "", "artifact store directory (default: <artifacts>/store)")
+	noStore := fs.Bool("no-store", false, "disable the artifact store (always re-simulate)")
+	splitSeed := fs.Int64("split-seed", 42, "seed of the train/test benchmark split")
+	configPath := fs.String("config", "", "train.json TrainConfig base for harness training (batch size and parallel sections; explicitly passed flags override)")
+	shards := fs.Int("shards", 0, "data-parallel gradient shards per training batch (0/1 = serial; artifacts depend on -shards, never on -j)")
+	checkpointEvery := fs.Int("checkpoint-every", 5, "write a training checkpoint every N epochs (0 disables)")
+	resume := fs.Bool("resume", false, "resume interrupted training from existing checkpoints")
+	workers := fs.Int("j", 0, "simulation worker-pool width (0 = GOMAXPROCS, 1 = serial); artifacts are byte-identical at any width")
+	tracePath := fs.String("trace", "", "write a Chrome trace-event file of the run's spans to this path")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+
 	scale, err := harness.ParseScale(*scaleFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		errs.printf("%v\n", err)
+		return 2
 	}
 	var collector *obs.Collector
 	if *tracePath != "" {
 		collector = obs.NewCollector(obs.Options{Trace: true})
 		obs.Install(collector)
+		defer obs.Install(nil)
 	}
-	r := harness.NewRunner(scale, *artifacts, os.Stdout)
+	r := harness.NewRunner(scale, *artifacts, stdout)
 	r.SplitSeed = *splitSeed
 	r.CheckpointEvery = *checkpointEvery
 	r.Resume = *resume
@@ -85,13 +106,13 @@ func main() {
 	if *configPath != "" {
 		tc, err := core.LoadTrainConfigFile(*configPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			errs.printf("%v\n", err)
+			return 2
 		}
 		r.Train = tc
 	}
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if set["shards"] || r.Train.Parallel.Shards == 0 {
 		r.Train.Parallel.Shards = *shards
 	}
@@ -105,20 +126,20 @@ func main() {
 		}
 		st, err := store.Open(dir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			errs.printf("%v\n", err)
+			return 2
 		}
 		r.Store = st
 	}
 
 	all := []string{"fig3", "fig14", "fig7", "fig8", "fig9", "fig12", "fig11", "fig10", "fig13", "table1", "ablation"}
 	want := map[string]bool{}
-	if *run == "all" || *run == "" {
+	if *runList == "all" || *runList == "" {
 		for _, e := range all {
 			want[e] = true
 		}
 	} else {
-		for _, e := range strings.Split(*run, ",") {
+		for _, e := range strings.Split(*runList, ",") {
 			want[strings.TrimSpace(e)] = true
 		}
 	}
@@ -144,24 +165,25 @@ func main() {
 		if !want[s.name] {
 			continue
 		}
-		fmt.Printf("\n===== %s (scale=%s) =====\n", s.name, scale)
+		out.printf("\n===== %s (scale=%s) =====\n", s.name, scale)
 		t0 := time.Now()
 		if err := s.fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", s.name, err)
+			errs.printf("%s failed: %v\n", s.name, err)
 			failed++
 			continue
 		}
-		fmt.Printf("===== %s done in %.1fs =====\n", s.name, time.Since(t0).Seconds())
+		out.printf("===== %s done in %.1fs =====\n", s.name, time.Since(t0).Seconds())
 	}
-	fmt.Println(metrics.RuntimeSummary())
+	out.printf("%s\n", metrics.RuntimeSummary())
 	if collector != nil {
 		if err := collector.WriteFile(*tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			errs.printf("%v\n", err)
+			return 1
 		}
-		fmt.Printf("wrote %d trace events to %s\n", collector.EventCount(), *tracePath)
+		out.printf("wrote %d trace events to %s\n", collector.EventCount(), *tracePath)
 	}
-	if failed > 0 {
-		os.Exit(1)
+	if failed > 0 || out.err != nil {
+		return 1
 	}
+	return 0
 }

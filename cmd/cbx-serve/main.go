@@ -16,22 +16,15 @@
 //
 //	cbx-serve -store artifacts/store
 //
-// Run as a one-shot smoke-test client against a live server and exit:
-//
-//	cbx-serve -smoke http://127.0.0.1:8080
-//
 // Endpoints: POST /v1/predict, GET /v1/models, POST /admin/reload,
 // GET /healthz, GET /metrics (Prometheus text format).
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -58,18 +51,9 @@ func main() {
 	workers := flag.Int("workers", 1, "batch-collection workers")
 	drainWait := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	quantize := flag.Bool("quantize", false, "serve int8 symmetric-quantized inference (calibrated from the loaded float32 weights; applies to hot-reloaded models too)")
-	smoke := flag.String("smoke", "", "run as a smoke-test client against this base URL and exit")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/ (opt-in)")
 	traceDir := flag.String("trace-dir", "", "write a Chrome trace-event file of the serving spans to this directory at shutdown")
 	flag.Parse()
-
-	if *smoke != "" {
-		if err := runSmoke(*smoke); err != nil {
-			fmt.Fprintln(os.Stderr, "cbx-serve: smoke:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	// A collector is always installed so per-span latency histograms
 	// surface in GET /metrics; trace-event buffering is only paid for
@@ -164,116 +148,6 @@ func buildRegistry(dir, file, storeDir string) (*serve.Registry, error) {
 		}
 		return serve.NewStaticRegistry("default", m), nil
 	default:
-		return nil, fmt.Errorf("need -models <dir>, -model <file> or -store <dir> (or -smoke <url>)")
+		return nil, fmt.Errorf("need -models <dir>, -model <file> or -store <dir>")
 	}
-}
-
-// runSmoke exercises a live server end to end: wait for /healthz,
-// discover a model via /v1/models, issue one prediction, and confirm
-// the metrics endpoint is exposing. Used by CI as a deployment check.
-func runSmoke(base string) error {
-	if err := waitHealthy(base, 10*time.Second); err != nil {
-		return err
-	}
-	code, body, err := fetch(http.MethodGet, base+"/v1/models", nil)
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK {
-		return fmt.Errorf("GET /v1/models: status %d: %s", code, body)
-	}
-	var infos []serve.ModelInfo
-	if err := json.Unmarshal(body, &infos); err != nil {
-		return fmt.Errorf("decode /v1/models: %w", err)
-	}
-	if len(infos) == 0 {
-		return fmt.Errorf("server reports no models")
-	}
-	info := infos[0]
-
-	size := info.ImageSize
-	pix := make([]float32, size*size)
-	for i := range pix {
-		pix[i] = float32((i*7)%23) / 2
-	}
-	//lint:ignore determinism-taint the smoke test's readiness poll reads the clock; the encoded request payload is fully synthetic
-	req, err := json.Marshal(serve.PredictRequest{
-		Model:  info.Name,
-		Access: serve.HeatmapJSON{H: size, W: size, Pix: pix},
-		Sets:   64,
-		Ways:   12,
-	})
-	if err != nil {
-		return err
-	}
-	code, body, err = fetch(http.MethodPost, base+"/v1/predict", req)
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK {
-		return fmt.Errorf("POST /v1/predict: status %d: %s", code, body)
-	}
-	var pr serve.PredictResponse
-	if err := json.Unmarshal(body, &pr); err != nil {
-		return fmt.Errorf("decode /v1/predict: %w", err)
-	}
-	if pr.Miss.H != size || pr.Miss.W != size || len(pr.Miss.Pix) != size*size {
-		return fmt.Errorf("miss heatmap shape %dx%d/%d, want %dx%d", pr.Miss.H, pr.Miss.W, len(pr.Miss.Pix), size, size)
-	}
-	if pr.HitRate < 0 || pr.HitRate > 1 {
-		return fmt.Errorf("hit rate %v out of [0,1]", pr.HitRate)
-	}
-	code, body, err = fetch(http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK || !bytes.Contains(body, []byte("cbx_serve_requests_total")) {
-		return fmt.Errorf("GET /metrics: status %d, request counter missing", code)
-	}
-	fmt.Printf("smoke ok: model %q (%dx%d) hit-rate %.4f batch %d\n",
-		pr.Model, size, size, pr.HitRate, pr.BatchSize)
-	return nil
-}
-
-// waitHealthy polls /healthz until it returns 200 or the budget runs
-// out, so the smoke client can start before the server finishes booting.
-func waitHealthy(base string, budget time.Duration) error {
-	deadline := time.Now().Add(budget)
-	for {
-		code, _, err := fetch(http.MethodGet, base+"/healthz", nil)
-		if err == nil && code == http.StatusOK {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			if err != nil {
-				return fmt.Errorf("server never became healthy: %w", err)
-			}
-			return fmt.Errorf("server never became healthy: /healthz status %d", code)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-// fetch issues one HTTP request and returns status + body.
-func fetch(method, url string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequest(method, url, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	if method == http.MethodPost {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	data, rerr := io.ReadAll(resp.Body)
-	cerr := resp.Body.Close()
-	if rerr != nil {
-		return 0, nil, rerr
-	}
-	if cerr != nil {
-		return 0, nil, cerr
-	}
-	return resp.StatusCode, data, nil
 }

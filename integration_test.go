@@ -1,7 +1,6 @@
 package cachebox_test
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +10,7 @@ import (
 
 // TestEndToEndPipelineIntegration drives the whole public API once:
 // suite → split → simulate → dataset → train → save → load → evaluate
-// → phase analysis → AMAT. It is the "does the system hang together"
+// → phase analysis. It is the "does the system hang together"
 // test a downstream user effectively runs on day one.
 func TestEndToEndPipelineIntegration(t *testing.T) {
 	if testing.Short() {
@@ -74,34 +73,5 @@ func TestEndToEndPipelineIntegration(t *testing.T) {
 	}
 	if len(phases.Representatives) == 0 {
 		t.Fatal("no phases found")
-	}
-
-	// AMAT roll-up from a simulated hierarchy of the same benchmark.
-	h, err := cachebox.NewHierarchy(
-		cachebox.CacheConfig{Sets: 64, Ways: 12},
-		cachebox.CacheConfig{Sets: 1024, Ways: 8},
-		cachebox.CacheConfig{Sets: 2048, Ways: 16},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	usage := cachebox.UsageFromLevelTraces(cachebox.RunHierarchy(h, tr))
-	amat, err := cachebox.AMAT(usage, cachebox.TypicalCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if amat < 4 || amat > 244 {
-		t.Fatalf("AMAT %v outside physical bounds", amat)
-	}
-
-	// And the predicted hit rate plugs into the same roll-up: AMAT
-	// from the model's prediction must be finite and ordered sanely.
-	predUsage := cachebox.UsageFromRates(float64(tr.Len()), []float64{1 - ev.PredHit, 0.5, 0.5})
-	predAMAT, err := cachebox.AMAT(predUsage, cachebox.TypicalCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(predAMAT) || predAMAT < 4 {
-		t.Fatalf("predicted AMAT %v", predAMAT)
 	}
 }

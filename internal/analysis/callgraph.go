@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"math"
 	"sort"
 )
 
@@ -58,6 +59,10 @@ type CallGraph struct {
 	// order fixes a deterministic node iteration order: packages in
 	// load order, files and declarations in source order.
 	order []*types.Func
+	// fset and fileRank give every loaded file its load-order index,
+	// the basis of srcOrder.
+	fset     *token.FileSet
+	fileRank map[*token.File]int
 
 	callers map[*types.Func][]CallerEdge
 }
@@ -66,9 +71,11 @@ type CallGraph struct {
 // package slice order fixes node order, so identical inputs produce an
 // identical graph regardless of how packages were loaded.
 func BuildCallGraph(pkgs []*Package) *CallGraph {
-	g := &CallGraph{funcs: make(map[*types.Func]*FuncInfo)}
+	g := &CallGraph{funcs: make(map[*types.Func]*FuncInfo), fileRank: make(map[*token.File]int)}
 	for _, pkg := range pkgs {
+		g.fset = pkg.Fset
 		for _, file := range pkg.Syntax {
+			g.fileRank[pkg.Fset.File(file.FileStart)] = len(g.fileRank)
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -86,6 +93,22 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		}
 	}
 	return g
+}
+
+// srcOrder keys a position by load order: package index, file index
+// within the package, then byte offset. Raw token.Pos order is file-set
+// insertion order, which a parallel parse leaves to chance; this key is
+// the order a serial load gives. Positions outside the loaded files
+// sort last.
+func (g *CallGraph) srcOrder(pos token.Pos) int64 {
+	if g.fset != nil {
+		if f := g.fset.File(pos); f != nil {
+			if rank, ok := g.fileRank[f]; ok {
+				return int64(rank)<<32 | int64(f.Offset(pos))
+			}
+		}
+	}
+	return math.MaxInt64
 }
 
 // collectCalls walks body recording every statically resolvable call.
@@ -168,8 +191,8 @@ func (g *CallGraph) Lookup(fn *types.Func) *FuncInfo {
 }
 
 // Callers returns the reverse adjacency of the graph, memoized. Edge
-// slices are ordered by caller node order then call-site position, so
-// traversals over them are deterministic. Not safe for concurrent
+// slices are ordered by call-site load order (srcOrder), so traversals
+// over them are deterministic at any parse width. Not safe for concurrent
 // first use; Program.Prepare-time callers should build it before
 // parallel passes run (NewProgram does).
 func (g *CallGraph) Callers() map[*types.Func][]CallerEdge {
@@ -184,7 +207,7 @@ func (g *CallGraph) Callers() map[*types.Func][]CallerEdge {
 		}
 	}
 	for _, edges := range g.callers {
-		sort.SliceStable(edges, func(i, j int) bool { return edges[i].Site.Pos < edges[j].Site.Pos })
+		sort.SliceStable(edges, func(i, j int) bool { return g.srcOrder(edges[i].Site.Pos) < g.srcOrder(edges[j].Site.Pos) })
 	}
 	return g.callers
 }

@@ -1,7 +1,11 @@
 package analysis
 
 import (
+	"go/ast"
+	"go/parser"
 	"go/types"
+	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -146,6 +150,67 @@ func TestBackwardTraceSkip(t *testing.T) {
 	for _, name := range []string{"Mid", "Top", "Bump"} {
 		if _, ok := trace.Reaches(byName[name].Fn); ok {
 			t.Errorf("%s must be cut off when Mid is skipped", name)
+		}
+	}
+}
+
+// programParsedIn loads fixture package order with its files added to
+// the file set in the given order. Raw token.Pos order then follows
+// parse order rather than file order, as under a parallel load.
+func programParsedIn(t *testing.T, names ...string) *Program {
+	t.Helper()
+	loader, err := NewLoader(filepath.Join("testdata", "src"), "fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(loader.ModuleDir, "order")
+	byName := make(map[string]*ast.File)
+	for _, name := range names {
+		f, err := parser.ParseFile(loader.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byName[name] = f
+	}
+	loader.parsed[dir] = []*ast.File{byName["a.go"], byName["b.go"]}
+	pkg, err := loader.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewProgram([]*Package{pkg})
+}
+
+// TestBackwardIgnoresParseOrder: the hop a backward trace records must
+// follow file order however the file set was filled, or lint output
+// would depend on -j.
+func TestBackwardIgnoresParseOrder(t *testing.T) {
+	paths := func(prog *Program) []string {
+		var seeds []Seed
+		for _, info := range prog.Graph.Funcs() {
+			for _, site := range info.Calls {
+				if site.Callee.FullName() == "os.WriteFile" {
+					seeds = append(seeds, Seed{Fn: info.Fn, Pos: site.Pos, What: "os.WriteFile"})
+				}
+			}
+		}
+		trace := prog.Backward(seeds, nil)
+		var out []string
+		for _, info := range prog.Graph.Funcs() {
+			out = append(out, trace.Path(info.Fn))
+		}
+		return out
+	}
+	inOrder := paths(programParsedIn(t, "a.go", "b.go"))
+	reversed := paths(programParsedIn(t, "b.go", "a.go"))
+	if !slices.Equal(inOrder, reversed) {
+		t.Fatalf("paths depend on parse order:\n a.go first: %q\n b.go first: %q", inOrder, reversed)
+	}
+	for _, want := range []string{
+		"order.Meet → order.SinkA → os.WriteFile",
+		"order.Meet2 → order.ViaA → order.Commit → os.WriteFile",
+	} {
+		if !slices.Contains(inOrder, want) {
+			t.Errorf("no path %q in %q", want, inOrder)
 		}
 	}
 }

@@ -60,7 +60,7 @@ func (p *Program) Backward(seeds []Seed, skip func(*types.Func) bool) *Trace {
 		next: make(map[*types.Func]CallSite),
 		seed: make(map[*types.Func]Seed),
 	}
-	sort.SliceStable(seeds, func(i, j int) bool { return seeds[i].Pos < seeds[j].Pos })
+	sort.SliceStable(seeds, func(i, j int) bool { return p.Graph.srcOrder(seeds[i].Pos) < p.Graph.srcOrder(seeds[j].Pos) })
 	var frontier []*types.Func
 	for _, s := range seeds {
 		if skip != nil && skip(s.Fn) {

@@ -8,9 +8,9 @@
 // hierarchies (L1/L2/L3) where each level's input stream is the miss
 // stream of the level above; and hardware prefetchers (next-line and
 // stride) whose issued addresses can be captured for the paper's RQ7
-// prefetcher-modelling experiment. A bimodal branch predictor is
-// included for substrate completeness (the paper's ChampSim runs use
-// one, although it does not influence trace-driven cache behaviour).
+// prefetcher-modelling experiment. The paper's ChampSim runs also use a
+// bimodal branch predictor; it does not influence trace-driven cache
+// behaviour, so none is modelled here.
 package cachesim
 
 import (

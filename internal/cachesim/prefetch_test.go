@@ -143,31 +143,3 @@ func TestPrefetchFillDoesNotDoubleInstall(t *testing.T) {
 		t.Fatalf("prefetch fills = %d, want 1 (block 2 only)", s.PrefetchFill)
 	}
 }
-
-func TestBimodalLearnsBias(t *testing.T) {
-	b := NewBimodalPredictor(10)
-	// Branch at pc 0x40 is taken 90% of the time.
-	for i := 0; i < 1000; i++ {
-		b.Update(0x40, i%10 != 0)
-	}
-	if acc := b.Accuracy(); acc < 0.85 {
-		t.Fatalf("accuracy = %v, want > 0.85", acc)
-	}
-	if !b.Predict(0x40) {
-		t.Fatal("predictor did not learn taken bias")
-	}
-}
-
-func TestBimodalDistinctBranches(t *testing.T) {
-	b := NewBimodalPredictor(10)
-	for i := 0; i < 100; i++ {
-		b.Update(0x40, true)
-		b.Update(0x44, false)
-	}
-	if !b.Predict(0x40) || b.Predict(0x44) {
-		t.Fatal("branches alias or failed to learn")
-	}
-	if NewBimodalPredictor(4).Accuracy() != 0 {
-		t.Fatal("fresh predictor accuracy not 0")
-	}
-}

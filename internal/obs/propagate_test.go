@@ -127,16 +127,25 @@ func TestMergeTraceFiles(t *testing.T) {
 	}
 	pids := make(map[string]int)
 	names := make(map[int]string)
+	tracePids := make(map[int]bool)
 	for _, ev := range tf.TraceEvents {
 		switch {
 		case ev.Ph == "M" && ev.Name == "process_name":
 			names[ev.Pid] = ev.Args["name"]
 		case ev.Ph == "X":
 			pids[ev.Name] = ev.Pid
+			if ev.Args["trace_id"] == "tr" {
+				tracePids[ev.Pid] = true
+			}
 		}
 	}
 	if pids["gateway.proxy"] != 1 || pids["serve.forward"] != 2 {
 		t.Fatalf("events not re-homed per input: %v", pids)
+	}
+	// One request's trace_id must survive the merge under both
+	// processes: the cross-hop proof a merged trace exists for.
+	if !tracePids[1] || !tracePids[2] {
+		t.Fatalf("trace_id \"tr\" tagged under pids %v, want both 1 and 2", tracePids)
 	}
 	if names[1] != "gw" || names[2] != "replica" {
 		t.Fatalf("process_name metadata %v", names)
