@@ -265,8 +265,8 @@ func cmdStat(st *store.Store, args []string, out io.Writer) error {
 		if it.HitRate >= 0 {
 			hr = fmt.Sprintf("%.4f", it.HitRate)
 		}
-		fmt.Fprintf(tw, "%s\t%dx%d\t%s\t%d\t%d\t%s\n",
-			it.Bench, it.Cache.Sets, it.Cache.Ways, hr, it.Windows, len(it.Shards), state)
+		fmt.Fprintf(tw, "%s\t%dx%d-%v\t%s\t%d\t%d\t%s\n",
+			it.Bench, it.Cache.Sets, it.Cache.Ways, it.Cache.Policy, hr, it.Windows, len(it.Shards), state)
 	}
 	return tw.Flush()
 }

@@ -41,7 +41,7 @@ func TestBuildLsStatVerify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stat: %v\n%s", err, out)
 	}
-	for _, want := range []string{"BENCH", "16x2", "64x4", "WINDOWS"} {
+	for _, want := range []string{"BENCH", "16x2-lru", "64x4-lru", "WINDOWS"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("stat output missing %q:\n%s", want, out)
 		}

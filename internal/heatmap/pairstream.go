@@ -25,12 +25,11 @@ import (
 // BuildPair would. At most ceil(Width/stride) images are ever held, so
 // streaming memory stays bounded.
 type PairStream struct {
-	cfg     Config
-	name    string
-	acc     *StreamBuilder
-	mis     *StreamBuilder
-	started bool
-	baseIC  uint64
+	cfg  Config
+	name string
+	// acc and mis are nil until the first access anchors them.
+	acc *StreamBuilder
+	mis *StreamBuilder
 
 	// lastMissCol is the global column of the latest actual miss; -1
 	// before the first miss. It decides when a drained miss image is
@@ -55,22 +54,13 @@ func NewPairStream(cfg Config, name string) (*PairStream, error) {
 
 // Add feeds one access and whether it missed. Accesses must arrive in
 // non-decreasing instruction-count order.
+//
+//cbx:hotpath runs once per simulated access; pairing runs only when an image closes or a miss can settle one
 func (p *PairStream) Add(a trace.Access, miss bool) error {
-	if !p.started {
-		// Both builders share the first access's IC as their column
-		// anchor, exactly as BuildPair passes one baseIC to both
-		// buildWide calls.
-		acc, err := NewStreamBuilderAt(p.cfg, p.name, a.IC)
-		if err != nil {
+	if p.acc == nil {
+		if err := p.begin(a.IC); err != nil {
 			return err
 		}
-		mis, err := NewStreamBuilderAt(p.cfg, p.name+".miss", a.IC)
-		if err != nil {
-			return err
-		}
-		p.acc, p.mis = acc, mis
-		p.baseIC = a.IC
-		p.started = true
 	}
 	if err := p.acc.Add(a); err != nil {
 		return err
@@ -79,11 +69,30 @@ func (p *PairStream) Add(a trace.Access, miss bool) error {
 		if err := p.mis.Add(a); err != nil {
 			return err
 		}
-		p.lastMissCol = int((a.IC - p.baseIC) / p.cfg.WindowInstr)
+		p.lastMissCol = p.mis.cur
 	} else if err := p.mis.AdvanceTo(a.IC); err != nil {
 		return err
 	}
-	p.collect(p.acc.Drain(), p.mis.Drain())
+	// Pairing can only progress when a builder closed an image or a new
+	// miss moves lastMissCol under a held miss image.
+	if len(p.acc.done) > 0 || len(p.mis.done) > 0 || (miss && len(p.misQ) > 0) {
+		p.collect(p.acc.Drain(), p.mis.Drain())
+	}
+	return nil
+}
+
+// begin anchors both builders at the first access's IC, exactly as
+// BuildPair passes one baseIC to both buildWide calls.
+func (p *PairStream) begin(baseIC uint64) error {
+	acc, err := NewStreamBuilderAt(p.cfg, p.name, baseIC)
+	if err != nil {
+		return err
+	}
+	mis, err := NewStreamBuilderAt(p.cfg, p.name+".miss", baseIC)
+	if err != nil {
+		return err
+	}
+	p.acc, p.mis = acc, mis
 	return nil
 }
 
@@ -144,12 +153,11 @@ func (p *PairStream) Emitted() int { return p.n }
 // a trailing partial, and our full-width images carry identical
 // pixels) and are replaced by empty images otherwise.
 func (p *PairStream) Finish() ([]Pair, error) {
-	if !p.started {
+	if p.acc == nil {
 		return nil, nil
 	}
 	p.accQ = append(p.accQ, p.acc.Finish()...)
 	p.misQ = append(p.misQ, p.mis.Finish()...)
-	stride := p.cfg.strideCols()
 	for len(p.accQ) > 0 {
 		a := p.accQ[0]
 		p.accQ = p.accQ[1:]
@@ -166,7 +174,7 @@ func (p *PairStream) Finish() ([]Pair, error) {
 		if m == nil {
 			m = NewHeatmap(p.name+".miss", p.cfg.Height, p.cfg.Width)
 			m.Index = a.Index
-			m.StartCol = a.Index * stride
+			m.StartCol = a.Index * p.acc.stride
 		}
 		p.done = append(p.done, Pair{Access: a, Miss: m})
 		p.n++

@@ -11,15 +11,23 @@ import (
 // tracer "can dump heatmaps faster than traces"; this is that path.
 // Feed accesses with Add; completed images become available as soon as
 // their last column closes.
+//
+// An access inside the current column costs one comparison and one
+// pixel update: the builder remembers where that column starts, and
+// divides, allocates and emits only when an access crosses into a later
+// column, about once per WindowInstr instructions.
 type StreamBuilder struct {
 	cfg    Config
 	name   string
+	stride int // cfg.strideCols()
 	baseIC uint64
 	seen   bool
 
 	cols   [][]float32
-	offset int // global column index of cols[0]
-	cur    int // highest column reached so far
+	offset int       // global column index of cols[0]
+	cur    int       // column of the latest IC seen
+	curIC  uint64    // first IC of column cur
+	col    []float32 // cols[cur-offset] once Add has allocated it, else nil
 	done   []*Heatmap
 	next   int // next image index to emit
 }
@@ -30,7 +38,7 @@ func NewStreamBuilder(cfg Config, name string) (*StreamBuilder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &StreamBuilder{cfg: cfg, name: name}, nil
+	return &StreamBuilder{cfg: cfg, name: name, stride: cfg.strideCols()}, nil
 }
 
 // NewStreamBuilderAt constructs a streaming builder whose column 0 is
@@ -42,31 +50,25 @@ func NewStreamBuilderAt(cfg Config, name string, baseIC uint64) (*StreamBuilder,
 	if err != nil {
 		return nil, err
 	}
-	b.baseIC = baseIC
-	b.seen = true
+	b.anchor(baseIC)
 	return b, nil
+}
+
+func (b *StreamBuilder) anchor(baseIC uint64) {
+	b.baseIC, b.curIC, b.seen = baseIC, baseIC, true
 }
 
 // Add feeds one access. Accesses must arrive in non-decreasing
 // instruction-count order.
+//
+//cbx:hotpath runs once per simulated access; the column-crossing work lives in enterColumn
 func (b *StreamBuilder) Add(a trace.Access) error {
-	if !b.seen {
-		b.baseIC = a.IC
-		b.seen = true
+	if b.col == nil || a.IC-b.curIC >= b.cfg.WindowInstr {
+		if err := b.enterColumn(a.IC); err != nil {
+			return err
+		}
 	}
-	if a.IC < b.baseIC {
-		return fmt.Errorf("heatmap: stream IC went backwards (%d < %d)", a.IC, b.baseIC)
-	}
-	col := int((a.IC - b.baseIC) / b.cfg.WindowInstr)
-	for col-b.offset >= len(b.cols) {
-		b.cols = append(b.cols, make([]float32, b.cfg.Height))
-	}
-	row := int((a.Addr >> b.cfg.AddrShift) % uint64(b.cfg.Height))
-	b.cols[col-b.offset][row]++
-	if col > b.cur {
-		b.cur = col
-	}
-	b.emitComplete(col)
+	b.col[(a.Addr>>b.cfg.AddrShift)%uint64(b.cfg.Height)]++
 	return nil
 }
 
@@ -75,19 +77,44 @@ func (b *StreamBuilder) Add(a trace.Access) error {
 // complete. A miss builder is advanced on every access of its parent
 // stream so all-hit windows still emit their (empty) miss images in
 // lockstep with the access builder.
+//
+//cbx:hotpath runs once per simulated hit; the column-crossing work lives in advance
 func (b *StreamBuilder) AdvanceTo(ic uint64) error {
+	if b.seen && ic-b.curIC < b.cfg.WindowInstr {
+		return nil
+	}
+	return b.advance(ic)
+}
+
+// advance moves the builder to the column holding ic, emitting every
+// image the move closes. It anchors column 0 at the first IC seen and
+// rejects an IC before the current column.
+func (b *StreamBuilder) advance(ic uint64) error {
 	if !b.seen {
-		b.baseIC = ic
-		b.seen = true
+		b.anchor(ic)
 	}
-	if ic < b.baseIC {
-		return fmt.Errorf("heatmap: stream IC went backwards (%d < %d)", ic, b.baseIC)
+	if ic < b.curIC {
+		return fmt.Errorf("heatmap: stream IC went backwards (%d < %d)", ic, b.curIC)
 	}
-	col := int((ic - b.baseIC) / b.cfg.WindowInstr)
-	if col > b.cur {
+	if col := int((ic - b.baseIC) / b.cfg.WindowInstr); col > b.cur {
 		b.cur = col
+		b.curIC = b.baseIC + uint64(col)*b.cfg.WindowInstr
+		b.col = nil
+		b.emitComplete(col)
 	}
-	b.emitComplete(col)
+	return nil
+}
+
+// enterColumn is Add's slow path: advance to ic's column and allocate
+// every column up to it.
+func (b *StreamBuilder) enterColumn(ic uint64) error {
+	if err := b.advance(ic); err != nil {
+		return err
+	}
+	for b.cur-b.offset >= len(b.cols) {
+		b.cols = append(b.cols, make([]float32, b.cfg.Height))
+	}
+	b.col = b.cols[b.cur-b.offset]
 	return nil
 }
 
@@ -95,29 +122,10 @@ func (b *StreamBuilder) AdvanceTo(ic uint64) error {
 // before the current column (all its data has arrived) and trims
 // columns no future image needs.
 func (b *StreamBuilder) emitComplete(curCol int) {
-	stride := b.cfg.strideCols()
-	for {
-		start := b.next * stride
-		if start+b.cfg.Width > curCol { // image not closed yet
-			break
-		}
-		m := NewHeatmap(b.name, b.cfg.Height, b.cfg.Width)
-		m.Index = b.next
-		m.StartCol = start
-		for x := 0; x < b.cfg.Width; x++ {
-			gx := start + x - b.offset
-			if gx < 0 || gx >= len(b.cols) {
-				continue
-			}
-			col := b.cols[gx]
-			for y := 0; y < b.cfg.Height; y++ {
-				m.Pix[y*b.cfg.Width+x] = col[y]
-			}
-		}
-		b.done = append(b.done, m)
-		b.next++
+	for start := b.next * b.stride; start+b.cfg.Width <= curCol; start = b.next * b.stride {
+		b.emit(start)
 		// Columns before the next image's start are never read again.
-		if trim := (b.next * stride) - b.offset; trim > 0 {
+		if trim := (b.next * b.stride) - b.offset; trim > 0 {
 			if trim > len(b.cols) {
 				trim = len(b.cols)
 			}
@@ -125,6 +133,26 @@ func (b *StreamBuilder) emitComplete(curCol int) {
 			b.offset += trim
 		}
 	}
+}
+
+// emit queues image b.next, which starts at global column start; columns
+// not yet allocated read as empty.
+func (b *StreamBuilder) emit(start int) {
+	m := NewHeatmap(b.name, b.cfg.Height, b.cfg.Width)
+	m.Index = b.next
+	m.StartCol = start
+	for x := 0; x < b.cfg.Width; x++ {
+		gx := start + x - b.offset
+		if gx < 0 || gx >= len(b.cols) {
+			continue
+		}
+		col := b.cols[gx]
+		for y := 0; y < b.cfg.Height; y++ {
+			m.Pix[y*b.cfg.Width+x] = col[y]
+		}
+	}
+	b.done = append(b.done, m)
+	b.next++
 }
 
 // Drain returns the images completed so far and clears the internal
@@ -156,23 +184,8 @@ func (b *StreamBuilder) Finish() []*Heatmap {
 // one such partial). It returns the final batch of images.
 func (b *StreamBuilder) Flush() []*Heatmap {
 	if b.cfg.KeepPartial {
-		stride := b.cfg.strideCols()
-		for start := b.next * stride; start-b.offset < len(b.cols); start = b.next * stride {
-			m := NewHeatmap(b.name, b.cfg.Height, b.cfg.Width)
-			m.Index = b.next
-			m.StartCol = start
-			for x := 0; x < b.cfg.Width; x++ {
-				gx := start + x - b.offset
-				if gx < 0 || gx >= len(b.cols) {
-					continue
-				}
-				col := b.cols[gx]
-				for y := 0; y < b.cfg.Height; y++ {
-					m.Pix[y*b.cfg.Width+x] = col[y]
-				}
-			}
-			b.done = append(b.done, m)
-			b.next++
+		for start := b.next * b.stride; start-b.offset < len(b.cols); start = b.next * b.stride {
+			b.emit(start)
 		}
 	}
 	return b.Drain()

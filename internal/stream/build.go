@@ -32,8 +32,6 @@ type BuildConfig struct {
 	MinHitRate float64
 	// Workers bounds build parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Buffer is each streaming run's channel depth; 0 defaults to 16.
-	Buffer int
 	// Sampling, when set, enables representative-interval sampling:
 	// only cluster-representative windows are simulated into shards,
 	// carrying their cluster-share training weights.
@@ -224,7 +222,7 @@ func buildOne(ctx context.Context, st *store.Store, bc BuildConfig, plan *sampli
 		}
 	} else {
 		cut := &shardCutter{st: st, bc: bc, bench: bench, cfg: cfg}
-		res, err := Run(ctx, bench, cfg, RunConfig{Heatmap: bc.Heatmap, MaxWindows: bc.MaxWindows, Buffer: bc.Buffer},
+		res, err := Run(ctx, bench, cfg, RunConfig{Heatmap: bc.Heatmap, MaxWindows: bc.MaxWindows},
 			func(w Window) error {
 				return cut.add(ShardWindow{Access: w.Pair.Access, Miss: w.Pair.Miss})
 			})
@@ -267,7 +265,7 @@ func simulateReps(ctx context.Context, st *store.Store, bc BuildConfig, bench wo
 	defer span.End()
 
 	cut := &shardCutter{st: st, bc: bc, bench: bench, cfg: cfg}
-	res, err := Run(ctx, bench, cfg, RunConfig{Heatmap: bc.Heatmap, MaxWindows: maxNeeded, StopEarly: true, Buffer: bc.Buffer},
+	res, err := Run(ctx, bench, cfg, RunConfig{Heatmap: bc.Heatmap, MaxWindows: maxNeeded, StopEarly: true},
 		func(w Window) error {
 			if wt, ok := repW[w.Index]; ok {
 				return cut.add(ShardWindow{Access: w.Pair.Access, Miss: w.Pair.Miss, Weight: wt})
@@ -328,23 +326,23 @@ func (m *Manifest) Verify(st *store.Store) (int, error) {
 		for i, ref := range it.Shards {
 			rc, sm, err := st.OpenDigest(ref.Digest)
 			if err != nil {
-				return checked, fmt.Errorf("%s/%+v shard %d: %w", it.Bench, it.Cache, i, err)
+				return checked, fmt.Errorf("%s shard %d: %w", it.label(), i, err)
 			}
 			if sm.SHA256 != ref.SHA256 {
 				//lint:ignore unchecked-error read-only handle being abandoned on a verification failure
 				rc.Close()
-				return checked, fmt.Errorf("%s/%+v shard %d: content hash %s != manifest %s",
-					it.Bench, it.Cache, i, sm.SHA256, ref.SHA256)
+				return checked, fmt.Errorf("%s shard %d: content hash %s != manifest %s",
+					it.label(), i, sm.SHA256, ref.SHA256)
 			}
 			ws, err := DecodeShard(rc)
 			//lint:ignore unchecked-error read-only handle; DecodeShard already surfaced any I/O failure
 			rc.Close()
 			if err != nil {
-				return checked, fmt.Errorf("%s/%+v shard %d: %w", it.Bench, it.Cache, i, err)
+				return checked, fmt.Errorf("%s shard %d: %w", it.label(), i, err)
 			}
 			if len(ws) != ref.Windows {
-				return checked, fmt.Errorf("%s/%+v shard %d: %d windows, manifest says %d",
-					it.Bench, it.Cache, i, len(ws), ref.Windows)
+				return checked, fmt.Errorf("%s shard %d: %d windows, manifest says %d",
+					it.label(), i, len(ws), ref.Windows)
 			}
 			checked++
 		}

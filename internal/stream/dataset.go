@@ -58,8 +58,8 @@ func OpenDataset(st *store.Store, man *Manifest) (*Dataset, error) {
 			sum += ref.Windows
 		}
 		if sum != it.Windows {
-			return nil, fmt.Errorf("stream: item %s/%+v: shards hold %d windows, manifest says %d",
-				it.Bench, it.Cache, sum, it.Windows)
+			return nil, fmt.Errorf("stream: item %s: shards hold %d windows, manifest says %d",
+				it.label(), sum, it.Windows)
 		}
 		d.items = append(d.items, dsItem{it: it, params: core.CacheParams(it.Cache), start: off})
 		off += it.Windows
@@ -88,7 +88,7 @@ func (d *Dataset) At(i int) (core.Sample, error) {
 	local := i - it.start
 	si, wi := local/d.man.ShardWindows, local%d.man.ShardWindows
 	if si >= len(it.it.Shards) {
-		return core.Sample{}, fmt.Errorf("stream: item %s shard %d missing", it.it.Bench, si)
+		return core.Sample{}, fmt.Errorf("stream: item %s shard %d missing", it.it.label(), si)
 	}
 	ws, err := d.shard(it.it.Shards[si])
 	if err != nil {
@@ -96,7 +96,7 @@ func (d *Dataset) At(i int) (core.Sample, error) {
 	}
 	if wi >= len(ws) {
 		return core.Sample{}, fmt.Errorf("stream: item %s shard %d has %d windows, want index %d",
-			it.it.Bench, si, len(ws), wi)
+			it.it.label(), si, len(ws), wi)
 	}
 	w := ws[wi]
 	return core.Sample{

@@ -65,6 +65,13 @@ type Item struct {
 	Shards []ShardRef `json:"shards,omitempty"`
 }
 
+// label names the item for people: benchmark, shape and replacement
+// policy. %v of a cachesim.Config prints sets and ways alone, so it
+// cannot tell an LRU item from the FIFO item of the same shape.
+func (it Item) label() string {
+	return fmt.Sprintf("%s/%v-%v", it.Bench, it.Cache, it.Cache.Policy)
+}
+
 // usable reports whether the item contributes samples.
 func (it Item) usable() bool { return !it.Filtered && !it.Skipped && it.Windows > 0 }
 

@@ -1,9 +1,12 @@
 // Package stream is the streaming dataset subsystem: it synthesises,
-// windows, and consumes traces one heatmap window at a time through a
-// bounded channel pipeline, so a dataset is never fully materialised
-// in memory (DESIGN §12). Built datasets persist as sharded manifests
-// in the content-addressed store; shards are memoised per benchmark ×
-// cache configuration and pullable by sha256 digest.
+// simulates, windows and consumes traces one access at a time, pushing
+// each heatmap window to its consumer on the caller's goroutine as soon
+// as it closes, so neither a trace nor a dataset is ever fully
+// materialised in memory (DESIGN §12). There is no goroutine or channel
+// inside a run; callers parallelise across items. Built datasets persist
+// as sharded manifests in the content-addressed store; shards are
+// memoised per benchmark × cache configuration and pullable by sha256
+// digest.
 //
 // Truth (truth.go) is the ground-truth source of the public Pipeline
 // and the experiment harness; everything it returns comes from Run.
@@ -40,8 +43,6 @@ type RunConfig struct {
 	// were never simulated. Leave unset to keep simulating past the
 	// cap so the exact whole-trace hit rate is still produced.
 	StopEarly bool
-	// Buffer is the window channel depth; 0 defaults to 16.
-	Buffer int
 }
 
 // Window is one emitted access/miss heatmap pair.
@@ -64,65 +65,31 @@ type RunResult struct {
 	Complete bool
 }
 
-// errStop aborts the producer once StopEarly's window budget is spent.
+// errStop ends the access stream once StopEarly's window budget is spent.
 var errStop = errors.New("stream: window budget reached")
 
 // Run synthesises bench's access stream, drives a fresh cache over it,
 // windows the access and miss streams into heatmap pairs, and calls fn
-// for every emitted window — all without materialising the trace. The
-// producer (synthesis + simulation + windowing) runs on its own
-// goroutine and hands windows to fn over a bounded channel, so the
-// consumer applies backpressure instead of buffering the dataset.
+// for every emitted window — all without materialising the trace. It is
+// a push pipeline on the caller's goroutine: the benchmark's emitter
+// hands each access to the simulator, the simulated access to the
+// windower, and every window the access closes to fn before the next
+// access is synthesised, so memory stays O(window) and a slow fn
+// throttles synthesis directly. Parallelism belongs to the caller
+// (par.Map across items).
 //
-// A non-nil fn error cancels the producer and is returned. The emitted
-// windows are byte-identical to the materialised
+// ctx is checked before every emitted window; a cancelled ctx or a
+// non-nil fn error stops the run at once, is returned, and fn is not
+// called again. The emitted windows are
+// byte-identical to the materialised
 // workload.Trace → cachesim.RunTrace → heatmap.BuildPair pipeline.
-func Run(ctx context.Context, bench workload.Benchmark, cacheCfg cachesim.Config, rc RunConfig, fn func(Window) error) (RunResult, error) {
+func Run(ctx context.Context, bench workload.Benchmark, cacheCfg cachesim.Config, rc RunConfig, fn func(Window) error) (res RunResult, _ error) {
 	if err := rc.Heatmap.Validate(); err != nil {
 		return RunResult{}, err
 	}
 	if err := cacheCfg.Validate(); err != nil {
 		return RunResult{}, err
 	}
-	buf := rc.Buffer
-	if buf <= 0 {
-		buf = 16
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type outcome struct {
-		res RunResult
-		err error
-	}
-	wins := make(chan Window, buf)
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := produce(ctx, bench, cacheCfg, rc, wins)
-		close(wins)
-		done <- outcome{res, err}
-	}()
-
-	var fnErr error
-	for w := range wins {
-		if fnErr != nil {
-			continue // drain so the producer can exit
-		}
-		if err := fn(w); err != nil {
-			fnErr = err
-			cancel()
-		}
-	}
-	o := <-done
-	if fnErr != nil {
-		return o.res, fnErr
-	}
-	return o.res, o.err
-}
-
-// produce is the run's producer goroutine body: synthesis, simulation,
-// and windowing fused into one pass over the access stream.
-func produce(ctx context.Context, bench workload.Benchmark, cacheCfg cachesim.Config, rc RunConfig, wins chan<- Window) (res RunResult, _ error) {
 	_, span := obs.Start(ctx, "stream.run")
 	span.Tag("bench", bench.Name)
 	metrics.SimRuns.Inc()
@@ -141,30 +108,27 @@ func produce(ctx context.Context, bench workload.Benchmark, cacheCfg cachesim.Co
 	}
 
 	emitted := 0
-	send := func(p heatmap.Pair) error {
+	emit := func(p heatmap.Pair) error {
 		if rc.MaxWindows > 0 && emitted >= rc.MaxWindows {
 			if rc.StopEarly {
 				return errStop
 			}
 			return nil // keep simulating for the exact hit rate
 		}
-		select {
-		case wins <- Window{Index: p.Access.Index, Pair: p}:
-		case <-ctx.Done():
-			return ctx.Err()
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		emitted++
 		metrics.StreamWindows.Inc()
-		return nil
+		return fn(Window{Index: p.Access.Index, Pair: p})
 	}
 
 	sinkErr := bench.StreamTrace(func(a trace.Access) error {
-		miss := !run.Access(a)
-		if err := ps.Add(a, miss); err != nil {
+		if err := ps.Add(a, !run.Access(a)); err != nil {
 			return err
 		}
 		for _, p := range ps.Drain() {
-			if err := send(p); err != nil {
+			if err := emit(p); err != nil {
 				return err
 			}
 		}
@@ -182,7 +146,7 @@ func produce(ctx context.Context, bench workload.Benchmark, cacheCfg cachesim.Co
 		return RunResult{HitRate: -1, Windows: emitted}, err
 	}
 	for _, p := range pairs {
-		if err := send(p); err != nil {
+		if err := emit(p); err != nil {
 			if errors.Is(err, errStop) {
 				break // trace fully simulated; only emission was capped
 			}

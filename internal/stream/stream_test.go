@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"cachebox/internal/cachesim"
@@ -113,6 +117,64 @@ func TestRunStopEarly(t *testing.T) {
 	}
 	if !res.Complete || res.HitRate != wantHR || res.Windows != 2 {
 		t.Fatalf("capped result %+v, want complete hr=%v", res, wantHR)
+	}
+}
+
+// An fn error stops the run at that window: Run returns it and never
+// calls fn again.
+func TestRunStopsAtFnError(t *testing.T) {
+	hm := testGeom()
+	b, cfg := testBenches()[0], testCfgs()[0]
+	boom := errors.New("consumer failed")
+	const k = 3
+	calls := 0
+	_, err := Run(context.Background(), b, cfg, RunConfig{Heatmap: hm}, func(w Window) error {
+		calls++
+		if w.Index == k {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("Run returned %v, want the fn error", err)
+	}
+	if calls != k+1 {
+		t.Fatalf("fn called %d times, want %d (never after its error)", calls, k+1)
+	}
+}
+
+func TestRunCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := Run(ctx, testBenches()[0], testCfgs()[0], RunConfig{Heatmap: testGeom()}, func(Window) error {
+		t.Fatal("fn called under a cancelled context")
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v, want context.Canceled", err)
+	}
+}
+
+// Run is a push pipeline on the caller's goroutine: it starts no
+// goroutine while fn runs, and leaves none behind. Goroutines an earlier
+// test started may still be exiting, so the count may fall, never rise.
+func TestRunSpawnsNoGoroutine(t *testing.T) {
+	hm := testGeom()
+	b, cfg := testBenches()[0], testCfgs()[0]
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		_, err := Run(context.Background(), b, cfg, RunConfig{Heatmap: hm, MaxWindows: 4}, func(Window) error {
+			if n := runtime.NumGoroutine(); n > before {
+				return fmt.Errorf("%d goroutines inside fn, %d before Run", n, before)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after 50 runs, %d before", after, before)
 	}
 }
 
@@ -238,6 +300,32 @@ func TestBuildKeysOnWholeCacheConfig(t *testing.T) {
 	}
 	if got := man.Items[1].HitRate; got != wantFIFO {
 		t.Errorf("FIFO item hit rate %v, want %v (LRU's is %v)", got, wantFIFO, wantLRU)
+	}
+}
+
+// A corrupt item must be named with its replacement policy: %v of a
+// cachesim.Config prints sets and ways alone, which reads the same for
+// the LRU and the FIFO item of one shape.
+func TestCorruptItemErrorNamesPolicy(t *testing.T) {
+	lru := cachesim.Config{Sets: 64, Ways: 12, Policy: cachesim.PolicyLRU}
+	fifo := cachesim.Config{Sets: 64, Ways: 12, Policy: cachesim.PolicyFIFO}
+	st := openStore(t)
+	man, _, err := Build(context.Background(), st, testBenches()[:1], []cachesim.Config{lru, fifo},
+		BuildConfig{Name: "policies", Heatmap: testGeom(), ShardWindows: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := &man.Items[1]
+	if it.Cache.Policy != cachesim.PolicyFIFO || len(it.Shards) == 0 {
+		t.Fatalf("item 1 is %v with %d shards, want a FIFO item with shards", it.Cache.Policy, len(it.Shards))
+	}
+	it.Shards[0].Windows++
+	_, verr := man.Verify(st)
+	_, oerr := OpenDataset(st, man)
+	for name, err := range map[string]error{"Verify": verr, "OpenDataset": oerr} {
+		if err == nil || !strings.Contains(err.Error(), "fifo") {
+			t.Errorf("%s error %v does not name the FIFO policy", name, err)
+		}
 	}
 }
 
