@@ -112,12 +112,25 @@ func checkShape(what string, got []int, want ...int) {
 	}
 }
 
+// checkConvInput checks a convolution input [N, inC, H, W] whose
+// padded height and width must each hold the kernel: a smaller image
+// has no output position, and a window hanging off its border would
+// read outside the bordered copy. It panics through checkShape.
+func checkConvInput(what string, got []int, inC, kernel, pad int) {
+	checkShape(what, got, -1, inC, -1, -1)
+	if got[2]+2*pad < kernel || got[3]+2*pad < kernel {
+		minSide := max(kernel-2*pad, 1)
+		checkShape(fmt.Sprintf("%s (padded by %d for a %d×%d kernel, at least %d×%d)", what, pad, kernel, kernel, minSide, minSide),
+			got, got[0], inC, minSide, minSide)
+	}
+}
+
 // ensureTensor returns a tensor of the given shape, reusing t's backing
 // array when its capacity suffices (contents are stale — the caller
-// must overwrite the full extent, which im2col and non-accumulating
+// must overwrite the full extent, which tensor.Pad and non-accumulating
 // GEMMs do). Layers use it for their large per-call work buffers so a
-// steady-state train loop stops allocating im2col/gradient scratch
-// after the first step.
+// steady-state train loop stops allocating bordered-input and column
+// scratch after the first step.
 func ensureTensor(t *tensor.Tensor, shape ...int) *tensor.Tensor {
 	n := 1
 	for _, d := range shape {

@@ -3,8 +3,9 @@ package tensor
 import "sync"
 
 // The scratch arena backs every transient buffer of the math kernels:
-// im2col column matrices at inference time, GEMM packing panels,
-// quantized activation planes and int8 accumulator rows. Buffers are
+// GEMM packing panels, the conv layers' bordered gradient images and
+// weight-gradient products, and the int8 path's column matrices,
+// quantized activation planes and accumulator rows. Buffers are
 // leased per call and returned to a sync.Pool, so the steady-state hot
 // path — a predict call or a train step after warm-up — performs no
 // heap allocation for kernel scratch. cbx-lint's hot-path-alloc
@@ -16,8 +17,8 @@ import "sync"
 // the requested length (growing the backing array only when a larger
 // lease arrives than the pool has seen). Contents are NOT zeroed:
 // every kernel that leases scratch overwrites the full extent it reads
-// (im2col writes padding zeros explicitly; GEMM packing fills edge
-// remainders; the int32 accumulator rows are cleared by the kernel).
+// (Pad and im2col write padding zeros explicitly; GEMM packing fills
+// whole panels; the int32 accumulator rows are cleared by the kernel).
 
 var (
 	f32Pool = sync.Pool{New: func() any { return new([]float32) }}

@@ -18,8 +18,11 @@ import (
 //   - within a tile, the shared dimension is walked in gemmKC-deep
 //     blocks, and each block of A and B is packed into micro-panels in
 //     arena scratch: A as gemmMR-row panels and B as gemmNR-column
-//     panels, both depth-major and zero-padded to a whole panel, so a
-//     micro-tile reads two contiguous streams and never a partial one;
+//     panels, both depth-major and padded to a whole panel, so a
+//     micro-tile reads two contiguous streams and never a partial one.
+//     The packers gather from an Operand (operand.go), so a transposed
+//     matrix or a convolution's column matrix is packed straight from
+//     its source and never copied out first;
 //   - a micro-kernel accumulates one gemmMR × gemmNR patch of C across
 //     one depth block. Two kernels share that contract: gemmMicroGo
 //     below, and on amd64 hosts with AVX2 the assembly kernel in
@@ -65,11 +68,17 @@ const (
 	gemmParallelMin = 1 << 20
 )
 
-// gemmBlocked is the kernel driver: it cuts C into tiles and runs them
-// serially or across an internal/par pool. workers only changes the
-// schedule, and avx2 only the micro-kernel (see gemmMicro); neither
-// changes the result.
-func gemmBlocked(avx2 bool, c, a, b []float32, m, k, n int, accumulate bool, workers int) {
+// gemmBlocked is the kernel driver: C[m,n] (+)= A×B for an m×k
+// operand a and a k×n operand b, with C row-major. It cuts C into
+// tiles and runs them serially or across an internal/par pool. workers
+// only changes the schedule, and avx2 only the micro-kernel (see
+// gemmMicro); neither changes the result, and nor does the operands'
+// kind, which only changes where the packers read from.
+func gemmBlocked(avx2 bool, c []float32, a, b *Operand, accumulate bool, workers int) {
+	m, k, n := a.rows, a.cols, b.cols
+	if b.rows != k || len(c) < m*n {
+		mustValidShape(false, "tensor: gemm %dx%d by %dx%d into %d elements", m, k, b.rows, n, len(c))
+	}
 	if m <= 0 || n <= 0 {
 		return
 	}
@@ -87,12 +96,15 @@ func gemmBlocked(avx2 bool, c, a, b []float32, m, k, n int, accumulate bool, wor
 	}
 	if workers <= 1 || m*n*k < gemmParallelMin {
 		for t := 0; t < tiles; t++ {
-			gemmTile(avx2, c, a, b, m, k, n, t, tilesN, accumulate)
+			gemmTile(avx2, c, a, b, t, tilesN, accumulate)
 		}
 		return
 	}
+	// The tasks get their own copies of the operands, so only this
+	// branch, which allocates a pool anyway, moves them to the heap.
+	ac, bc := *a, *b
 	err := par.New(workers).Run(context.Background(), tiles, func(_ context.Context, t int) error {
-		gemmTile(avx2, c, a, b, m, k, n, t, tilesN, accumulate)
+		gemmTile(avx2, c, &ac, &bc, t, tilesN, accumulate)
 		return nil
 	})
 	// Tasks never return errors, so err can only be a panic captured
@@ -110,7 +122,8 @@ func gemmBlocked(avx2 bool, c, a, b []float32, m, k, n int, accumulate bool, wor
 // Each panel and each C patch is re-sliced to exactly the extent the
 // kernel will touch, so a wrong shape panics here, in Go, instead of
 // reading out of bounds in assembly.
-func gemmTile(avx2 bool, c, a, b []float32, m, k, n, t, tilesN int, accumulate bool) {
+func gemmTile(avx2 bool, c []float32, a, b *Operand, t, tilesN int, accumulate bool) {
+	m, k, n := a.rows, a.cols, b.cols
 	ic := (t / tilesN) * gemmMC
 	jc := (t % tilesN) * gemmNC
 	mc := min(gemmMC, m-ic)
@@ -119,8 +132,8 @@ func gemmTile(avx2 bool, c, a, b []float32, m, k, n, t, tilesN int, accumulate b
 	bps := GetScratch(gemmKC * gemmNC)
 	for pc := 0; pc < k; pc += gemmKC {
 		kc := min(gemmKC, k-pc)
-		packA(aps.Data, a, k, ic, pc, mc, kc)
-		packB(bps.Data, b, n, jc, pc, nc, kc)
+		packA(aps.Data, a, ic, pc, mc, kc)
+		packB(bps.Data, b, jc, pc, nc, kc)
 		// On the first depth block of a non-accumulating GEMM the kernel
 		// starts its accumulators at zero instead of loading C, so the
 		// output needs no separate zeroing pass.
@@ -136,8 +149,9 @@ func gemmTile(avx2 bool, c, a, b []float32, m, k, n, t, tilesN int, accumulate b
 					gemmMicro(avx2, c[off:off+(gemmMR-1)*n+gemmNR], n, ap, bp, kc, load)
 					continue
 				}
-				// Edge of the matrix: the panels are zero-padded, so run
-				// the full kernel into a stack tile and copy the valid part.
+				// Edge of the matrix: run the full kernel into a stack
+				// tile and copy the valid part. The padding lanes of the
+				// panels only reach the rows and columns dropped here.
 				var edge [gemmMR * gemmNR]float32
 				if load {
 					for r := 0; r < mr; r++ {
@@ -155,49 +169,86 @@ func gemmTile(avx2 bool, c, a, b []float32, m, k, n, t, tilesN int, accumulate b
 	bps.Release()
 }
 
-// packA copies the A block rows [ic, ic+mc) × depth [pc, pc+kc) into
+// packA gathers the A block rows [ic, ic+mc) × depth [pc, pc+kc) into
 // gemmMR-row micro-panels: the panel of rows ir..ir+gemmMR starts at
-// ap[ir*kc] and holds ap[ir*kc+p*gemmMR+r] = A[ic+ir+r, pc+p], with
-// rows past mc zero. One depth step of a micro-tile reads its gemmMR A
-// values contiguously and a whole micro-tile reads one contiguous panel.
-func packA(ap, a []float32, k, ic, pc, mc, kc int) {
+// ap[ir*kc] and holds ap[ir*kc+p*gemmMR+r] = A[ic+ir+r, pc+p]. One
+// depth step of a micro-tile reads its gemmMR A values contiguously and
+// a whole micro-tile reads one contiguous panel. Rows past mc repeat
+// the last row: they reach only C rows gemmTile drops, and the panel
+// needs no edge case. Every operand kind goes through this one gather,
+// so a convolution is lowered here, element by element, and never
+// materialised. Offsets strictly increase along every axis, so depth
+// offsets that span exactly kc elements are one run per row and are
+// read as slices.
+func packA(ap []float32, a *Operand, ic, pc, mc, kc int) {
 	l := obs.StartLeaf("tensor.pack")
+	var cols [gemmKC]int
+	depth := cols[:kc]
+	a.offsets(depth, pc, a.col)
+	contiguous := depth[kc-1]-depth[0] == kc-1
 	for ir := 0; ir < mc; ir += gemmMR {
+		var rows [gemmMR]int
+		mr := min(gemmMR, mc-ir)
+		a.offsets(rows[:mr], ic+ir, a.row)
+		for r := mr; r < gemmMR; r++ {
+			rows[r] = rows[mr-1]
+		}
 		panel := ap[ir*kc : (ir+gemmMR)*kc]
-		src := a[(ic+ir)*k+pc:]
-		if mc-ir >= gemmMR {
-			r0, r1, r2, r3 := src[:kc], src[k:k+kc], src[2*k:2*k+kc], src[3*k:3*k+kc]
+		if contiguous {
+			// A run per row, as in a dense A: slices the compiler can
+			// range without a bounds test, 1.45× the gather.
+			r0, r1, r2, r3 := a.data[rows[0]+depth[0]:][:kc], a.data[rows[1]+depth[0]:][:kc],
+				a.data[rows[2]+depth[0]:][:kc], a.data[rows[3]+depth[0]:][:kc]
 			for p := range r0 {
 				d := panel[p*gemmMR : p*gemmMR+gemmMR : p*gemmMR+gemmMR]
 				d[0], d[1], d[2], d[3] = r0[p], r1[p], r2[p], r3[p]
 			}
 			continue
 		}
-		clear(panel)
-		for r := 0; r < mc-ir; r++ {
-			for p, v := range src[r*k : r*k+kc] {
-				panel[p*gemmMR+r] = v
-			}
+		r0, r1, r2, r3 := a.data[rows[0]:], a.data[rows[1]:], a.data[rows[2]:], a.data[rows[3]:]
+		for p, off := range depth {
+			d := panel[p*gemmMR : p*gemmMR+gemmMR : p*gemmMR+gemmMR]
+			d[0], d[1], d[2], d[3] = r0[off], r1[off], r2[off], r3[off]
 		}
 	}
 	l.End()
 }
 
-// packB copies the B block depth [pc, pc+kc) × cols [jc, jc+nc) into
+// packB gathers the B block depth [pc, pc+kc) × cols [jc, jc+nc) into
 // gemmNR-column micro-panels: the panel of cols jr..jr+gemmNR starts at
-// bp[jr*kc] and holds bp[jr*kc+p*gemmNR+x] = B[pc+p, jc+jr+x], with
-// cols past nc zero.
-func packB(bp, b []float32, n, jc, pc, nc, kc int) {
+// bp[jr*kc] and holds bp[jr*kc+p*gemmNR+x] = B[pc+p, jc+jr+x]. Cols
+// past nc repeat the last column's offset, as packA's rows do. Offsets
+// strictly increase along every axis, so a full panel whose sixteen
+// column offsets span exactly sixteen elements is a contiguous run per
+// depth step — a dense matrix, or a stride-1 convolution within an
+// output row — and is copied instead of gathered.
+func packB(bp []float32, b *Operand, jc, pc, nc, kc int) {
 	l := obs.StartLeaf("tensor.pack")
+	var rows [gemmKC]int
+	depth := rows[:kc]
+	b.offsets(depth, pc, b.row)
 	for jr := 0; jr < nc; jr += gemmNR {
-		panel := bp[jr*kc : (jr+gemmNR)*kc]
-		src := b[pc*n+jc+jr:]
+		var cols [gemmNR]int
 		nr := min(gemmNR, nc-jr)
-		if nr < gemmNR {
-			clear(panel)
+		b.offsets(cols[:nr], jc+jr, b.col)
+		for x := nr; x < gemmNR; x++ {
+			cols[x] = cols[nr-1]
 		}
-		for p := 0; p < kc; p++ {
-			copy(panel[p*gemmNR:p*gemmNR+nr], src[p*n:])
+		panel := bp[jr*kc : (jr+gemmNR)*kc]
+		if nr == gemmNR && cols[gemmNR-1]-cols[0] == gemmNR-1 {
+			for p, off := range depth {
+				copy(panel[p*gemmNR:(p+1)*gemmNR], b.data[off+cols[0]:])
+			}
+			continue
+		}
+		// Unrolled: 1.45× the loop over cols on a stride-2 convolution.
+		for p, off := range depth {
+			d := panel[p*gemmNR : (p+1)*gemmNR : (p+1)*gemmNR]
+			src := b.data[off : off+cols[gemmNR-1]+1]
+			d[0], d[1], d[2], d[3] = src[cols[0]], src[cols[1]], src[cols[2]], src[cols[3]]
+			d[4], d[5], d[6], d[7] = src[cols[4]], src[cols[5]], src[cols[6]], src[cols[7]]
+			d[8], d[9], d[10], d[11] = src[cols[8]], src[cols[9]], src[cols[10]], src[cols[11]]
+			d[12], d[13], d[14], d[15] = src[cols[12]], src[cols[13]], src[cols[14]], src[cols[15]]
 		}
 	}
 	l.End()

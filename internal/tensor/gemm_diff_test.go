@@ -38,6 +38,13 @@ func forEachKernel(t *testing.T, fn func(t *testing.T, avx2 bool)) {
 	})
 }
 
+// gemmMats runs the blocked driver over two dense operands, the shape
+// of the plain Gemm entry point.
+func gemmMats(avx2 bool, c, a, b []float32, m, k, n int, accumulate bool, workers int) {
+	am, bm := Mat(a, m, k), Mat(b, k, n)
+	gemmBlocked(avx2, c, &am, &bm, accumulate, workers)
+}
+
 // posInf is a variable so that hostNaN is computed by the hardware, not
 // folded by the compiler.
 var posInf = float32(math.Inf(1))
@@ -113,7 +120,7 @@ func TestGemmBlockedMatchesRefExactly(t *testing.T) {
 						gemmRef(want, a, b, m, k, n, accumulate)
 						for _, workers := range []int{1, 8} {
 							got := append([]float32(nil), c0...)
-							gemmBlocked(avx2, got, a, b, m, k, n, accumulate, workers)
+							gemmMats(avx2, got, a, b, m, k, n, accumulate, workers)
 							assertBitsEqual(t, got, want, fmt.Sprintf("gemm %dx%dx%d accumulate=%v j%d", m, k, n, accumulate, workers))
 						}
 					}
@@ -127,9 +134,9 @@ func TestGemmBlockedMatchesRefExactly(t *testing.T) {
 // output (an empty sum), accumulate mode must leave it untouched.
 func TestGemmBlockedZeroK(t *testing.T) {
 	c := []float32{1, 2, 3, 4}
-	gemmBlocked(hasAVX2, c, nil, nil, 2, 0, 2, true, 1)
+	gemmMats(hasAVX2, c, nil, nil, 2, 0, 2, true, 1)
 	assertBitsEqual(t, c, []float32{1, 2, 3, 4}, "k=0 accumulate")
-	gemmBlocked(hasAVX2, c, nil, nil, 2, 0, 2, false, 1)
+	gemmMats(hasAVX2, c, nil, nil, 2, 0, 2, false, 1)
 	assertBitsEqual(t, c, []float32{0, 0, 0, 0}, "k=0 overwrite")
 }
 
@@ -145,7 +152,7 @@ func TestGemmNoZeroSkip(t *testing.T) {
 	gemmRef(want, a, b, 1, 2, 2, false)
 	for _, avx2 := range availableKernels() {
 		got := make([]float32, 2)
-		gemmBlocked(avx2, got, a, b, 1, 2, 2, false, 1)
+		gemmMats(avx2, got, a, b, 1, 2, 2, false, 1)
 		assertBitsEqual(t, got, want, "zero-times-inf")
 		if !math.IsNaN(float64(got[0])) {
 			t.Fatalf("0*Inf column should be NaN, got %v", got[0])
@@ -155,7 +162,8 @@ func TestGemmNoZeroSkip(t *testing.T) {
 
 // TestMatMulATBAndABT holds the two transposed products to gemmRef on
 // an explicitly transposed operand, bit for bit: they are the same
-// driver behind a scratch transpose, not a second summation order.
+// driver reading its operand through Operand.T, not a second summation
+// order.
 func TestMatMulATBAndABT(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	for _, sh := range [][3]int{{1, 1, 1}, {5, 17, 3}, {gemmMC + 1, gemmKC + 1, gemmNR + 1}, {33, 300, 70},
@@ -167,15 +175,28 @@ func TestMatMulATBAndABT(t *testing.T) {
 		want := New(m, n)
 		gemmRef(want.Data, a.Data, b.Data, m, k, n, false)
 		label := fmt.Sprintf("%dx%dx%d", m, k, n)
-		assertBitsEqual(t, MatMulATB(Transpose(a), b).Data, want.Data, "ATB "+label)
-		assertBitsEqual(t, MatMulABT(a, Transpose(b)).Data, want.Data, "ABT "+label)
+		at, bt := Transpose(a), Transpose(b)
+		assertBitsEqual(t, MatMulATB(at, b).Data, want.Data, "ATB "+label)
+		assertBitsEqual(t, MatMulABT(a, bt).Data, want.Data, "ABT "+label)
 
 		c0 := New(m, n)
 		fillAdversarial(rng, c0.Data)
-		want = c0.Clone()
-		gemmRef(want.Data, a.Data, b.Data, m, k, n, true)
-		MatMulATBInto(c0, Transpose(a), b, true)
-		assertBitsEqual(t, c0.Data, want.Data, "ATBInto accumulate "+label)
+		accWant := c0.Clone()
+		gemmRef(accWant.Data, a.Data, b.Data, m, k, n, true)
+		MatMulATBInto(c0, at, b, true)
+		assertBitsEqual(t, c0.Data, accWant.Data, "ATBInto accumulate "+label)
+
+		// The same products under every micro-kernel, with either or
+		// both operands read through their transpose.
+		aT, bT := Mat(at.Data, k, m).T(), Mat(bt.Data, n, k).T()
+		aD, bD := Mat(a.Data, m, k), Mat(b.Data, k, n)
+		for _, avx2 := range availableKernels() {
+			for _, ops := range [][2]*Operand{{&aT, &bD}, {&aD, &bT}, {&aT, &bT}} {
+				got := make([]float32, m*n)
+				gemmBlocked(avx2, got, ops[0], ops[1], false, 3)
+				assertBitsEqual(t, got, want.Data, fmt.Sprintf("transposed operands %s avx2=%v", label, avx2))
+			}
+		}
 	}
 }
 
@@ -310,7 +331,7 @@ func BenchmarkGemmRef512(b *testing.B) {
 func BenchmarkGemmBlocked512(b *testing.B) {
 	benchEachKernel(b, func(b *testing.B, avx2 bool) {
 		benchGemm(b, 512, func(c, a, bb []float32, m, k, n int) {
-			gemmBlocked(avx2, c, a, bb, m, k, n, false, 1)
+			gemmMats(avx2, c, a, bb, m, k, n, false, 1)
 		})
 	})
 }
@@ -318,7 +339,7 @@ func BenchmarkGemmBlocked512(b *testing.B) {
 func BenchmarkGemmBlockedParallel512(b *testing.B) {
 	benchEachKernel(b, func(b *testing.B, avx2 bool) {
 		benchGemm(b, 512, func(c, a, bb []float32, m, k, n int) {
-			gemmBlocked(avx2, c, a, bb, m, k, n, false, runtime.GOMAXPROCS(0))
+			gemmMats(avx2, c, a, bb, m, k, n, false, runtime.GOMAXPROCS(0))
 		})
 	})
 }

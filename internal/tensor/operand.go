@@ -1,0 +1,114 @@
+package tensor
+
+// Operand is one input of the blocked GEMM: a logical rows × cols
+// matrix described by where its elements live rather than by a
+// materialised copy, so the packers read every element straight from
+// its source. Element (r, c) is data[rowOffset(r) + colOffset(c)],
+// where each axis maps its index to an offset one of three ways:
+//
+//   - linear: index i sits at i·step. A dense row-major matrix has a
+//     row step of cols and a column step of 1; its transpose swaps the
+//     two, which is all T does.
+//   - taps: index (ch, ky, kx) of a c·k·k axis sits at
+//     ch·hp·wp + ky·wp + kx in a zero-bordered NCHW batch [n, c, hp, wp].
+//   - positions: index (img, oy, ox) of an n·outH·outW axis sits at
+//     img·c·hp·wp + (oy·wp + ox)·stride in the same batch.
+//
+// A taps × positions operand is exactly the column matrix im2col would
+// write (Im2colOperand), and its T is that matrix transposed; neither
+// is ever built. Every offset is strictly increasing in its index, so
+// a run of consecutive offsets can be copied instead of gathered.
+type Operand struct {
+	data       []float32
+	rows, cols int
+	row, col   axis
+
+	// Convolution geometry, read by tap and position axes only.
+	c, hp, wp, kernel, stride, outH, outW int
+}
+
+type axisKind uint8
+
+const (
+	linearAxis axisKind = iota
+	tapAxis
+	posAxis
+)
+
+// axis is one dimension of an Operand: its kind and, for a linear
+// axis, the offset step between consecutive indices.
+type axis struct {
+	kind axisKind
+	step int
+}
+
+// Mat describes the row-major rows × cols matrix held in data.
+func Mat(data []float32, rows, cols int) Operand {
+	// Every GEMM call builds its operands, so each check boxes its
+	// arguments only once it has failed.
+	if rows < 0 || cols < 0 || len(data) < rows*cols {
+		mustValidShape(false, "tensor: Mat %dx%d over %d elements", rows, cols, len(data))
+	}
+	return Operand{data: data, rows: rows, cols: cols,
+		row: axis{linearAxis, cols}, col: axis{linearAxis, 1}}
+}
+
+// Im2colOperand describes the column matrix [c·k·k, n·outH·outW] of a
+// convolution over xp, a zero-bordered NCHW batch [n, c, hp, wp]: row
+// (ch, ky, kx), column (img, oy, ox) holds
+// xp[img, ch, oy·stride+ky, ox·stride+kx], with outH = (hp-k)/stride+1
+// (likewise outW). For a batch bordered by pad on each side (Pad) it
+// is the matrix Im2colStrided writes for the unbordered batch, sample
+// after sample; with kernel 1, stride 1 and no border it is the batch
+// regrouped channel-major, [c, n·h·w].
+func Im2colOperand(xp []float32, n, c, hp, wp, kernel, stride int) Operand {
+	if n < 0 || c < 0 || kernel < 1 || stride < 1 || hp < kernel || wp < kernel || len(xp) < n*c*hp*wp {
+		mustValidShape(false, "tensor: Im2colOperand of [%d %d %d %d] (%d elements), kernel %d, stride %d",
+			n, c, hp, wp, len(xp), kernel, stride)
+	}
+	outH, outW := ConvOutSize(hp, kernel, stride, 0), ConvOutSize(wp, kernel, stride, 0)
+	return Operand{data: xp, rows: c * kernel * kernel, cols: n * outH * outW,
+		row: axis{kind: tapAxis}, col: axis{kind: posAxis},
+		c: c, hp: hp, wp: wp, kernel: kernel, stride: stride, outH: outH, outW: outW}
+}
+
+// T returns the transpose of o. No data moves: the two axes swap.
+func (o Operand) T() Operand {
+	o.rows, o.cols = o.cols, o.rows
+	o.row, o.col = o.col, o.row
+	return o
+}
+
+// offsets fills offs with the offsets of indices i, i+1, … along ax.
+// Tap and position indices are decomposed once and then stepped, so
+// the cost is one add per offset.
+func (o *Operand) offsets(offs []int, i int, ax axis) {
+	switch ax.kind {
+	case linearAxis:
+		for j := range offs {
+			offs[j] = (i + j) * ax.step
+		}
+	case tapAxis:
+		k, plane := o.kernel, o.hp*o.wp
+		ch, ky, kx := i/(k*k), i/k%k, i%k
+		for j := range offs {
+			offs[j] = ch*plane + ky*o.wp + kx
+			if kx++; kx == k {
+				if kx, ky = 0, ky+1; ky == k {
+					ky, ch = 0, ch+1
+				}
+			}
+		}
+	case posAxis:
+		image, hw := o.c*o.hp*o.wp, o.outH*o.outW
+		img, oy, ox := i/hw, i%hw/o.outW, i%o.outW
+		for j := range offs {
+			offs[j] = img*image + (oy*o.wp+ox)*o.stride
+			if ox++; ox == o.outW {
+				if ox, oy = 0, oy+1; oy == o.outH {
+					oy, img = 0, img+1
+				}
+			}
+		}
+	}
+}

@@ -70,7 +70,7 @@ func TestScratchArenaConcurrentHammer(t *testing.T) {
 			c := make([]float32, m*n)
 			qc := make([]float32, m*n)
 			for r := 0; r < rounds; r++ {
-				gemmBlocked(hasAVX2, c, a.Data, b.Data, m, k, n, false, 4)
+				gemmMats(hasAVX2, c, a.Data, b.Data, m, k, n, false, 4)
 				for i := range want.Data {
 					if c[i] != want.Data[i] {
 						errs <- "float32 result corrupted"

@@ -183,17 +183,25 @@ func MatMulInto(c, a, b *Tensor, accumulate bool) {
 }
 
 // Gemm is the raw kernel: C[m,n] (+)= A[m,k] × B[k,n], row-major.
-// It dispatches to the cache-blocked, goroutine-tiled driver in
-// gemm_blocked.go with the host's fastest micro-kernel; results are
-// bit-identical to gemmRef, to the other micro-kernel and to any other
+// It is GemmOp over two dense operands.
+func Gemm(c, a, b []float32, m, k, n int, accumulate bool) {
+	GemmOp(c, Mat(a, m, k), Mat(b, k, n), accumulate)
+}
+
+// GemmOp computes C (+)= A×B for an m×k operand a and a k×n operand b
+// into the row-major m×n c, packing each operand straight from its
+// source (see Operand). It dispatches to the cache-blocked,
+// goroutine-tiled driver in gemm_blocked.go with the host's fastest
+// micro-kernel; results are bit-identical to gemmRef over the
+// materialised operands, to the other micro-kernel and to any other
 // worker count (see the determinism notes there). Durations feed the
 // obs histogram sink (span name tensor.gemm) when a collector is
 // installed; the timer is a value type, so the kernel never allocates
 // for it.
-func Gemm(c, a, b []float32, m, k, n int, accumulate bool) {
+func GemmOp(c []float32, a, b Operand, accumulate bool) {
 	l := obs.StartLeaf("tensor.gemm")
 	defer l.End()
-	gemmBlocked(hasAVX2, c, a, b, m, k, n, accumulate, runtime.GOMAXPROCS(0))
+	gemmBlocked(hasAVX2, c, &a, &b, accumulate, runtime.GOMAXPROCS(0))
 }
 
 // gemmRef is the naive triple loop the blocked kernel is differentially
@@ -219,10 +227,8 @@ func gemmRef(c, a, b []float32, m, k, n int, accumulate bool) {
 }
 
 // MatMulATB computes C = Aᵀ×B for A [k,m], B [k,n] → C [m,n], used for
-// weight gradients without materialising a transpose the caller can
-// see: A is transposed into arena scratch and handed to the blocked
-// kernel, which beats the old rank-1-update loop on everything but
-// trivial shapes.
+// weight gradients: the packer reads A through its transpose, so no
+// transposed copy is made.
 func MatMulATB(a, b *Tensor) *Tensor {
 	mustValidShape(len(a.Shape) == 2 && len(b.Shape) == 2 && a.Shape[0] == b.Shape[0],
 		"tensor: MatMulATB shapes %v x %v", a.Shape, b.Shape)
@@ -243,25 +249,17 @@ func MatMulATBInto(c, a, b *Tensor, accumulate bool) {
 
 func matMulATBInto(c, a, b *Tensor, accumulate bool) {
 	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	ats := GetScratch(m * k)
-	transposeInto(ats.Data, a.Data, k, m)
-	Gemm(c.Data, ats.Data, b.Data, m, k, n, accumulate)
-	ats.Release()
+	GemmOp(c.Data, Mat(a.Data, k, m).T(), Mat(b.Data, k, n), accumulate)
 }
 
-// MatMulABT computes C = A×Bᵀ for A [m,k], B [n,k] → C [m,n]: B is
-// transposed into arena scratch and handed to the blocked kernel, like
-// MatMulATB's A. Every weight gradient of the conv layers goes through
-// here.
+// MatMulABT computes C = A×Bᵀ for A [m,k], B [n,k] → C [m,n], packing
+// B through its transpose like MatMulATB's A.
 func MatMulABT(a, b *Tensor) *Tensor {
 	mustValidShape(len(a.Shape) == 2 && len(b.Shape) == 2 && a.Shape[1] == b.Shape[1],
 		"tensor: MatMulABT shapes %v x %v", a.Shape, b.Shape)
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
 	c := New(m, n)
-	bts := GetScratch(k * n)
-	transposeInto(bts.Data, b.Data, n, k)
-	Gemm(c.Data, a.Data, bts.Data, m, k, n, false)
-	bts.Release()
+	GemmOp(c.Data, Mat(a.Data, m, k), Mat(b.Data, n, k).T(), false)
 	return c
 }
 
@@ -277,9 +275,9 @@ func Transpose(a *Tensor) *Tensor {
 // src into dst (cols×rows), a band of 16 source rows at a time: each
 // destination row then receives 64 contiguous bytes per band while the
 // reads walk 16 sequential streams. The plain row-by-row loop scatters
-// every write to its own cache line and measured 1.4–4.0 ns an element
-// on the shapes the backward pass transposes; this one 1.0–1.3, which
-// end to end is 1.14× the training and 1.04× the inference throughput.
+// every write to its own cache line and measured 1.4–4.0 ns an element;
+// this one 1.0–1.3. Transpose is its only caller: the GEMM packers read
+// a transposed operand in place (Operand.T).
 func transposeInto(dst, src []float32, rows, cols int) {
 	const band = 16
 	for i0 := 0; i0 < rows; i0 += band {

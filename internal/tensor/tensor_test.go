@@ -210,6 +210,15 @@ func TestConvOutSizes(t *testing.T) {
 	if got := ConvOutSize(5, 3, 1, 1); got != 5 {
 		t.Fatalf("same-conv = %d, want 5", got)
 	}
+	// A kernel wider than the padded input fits nowhere: no output,
+	// not the one window hanging off the border that truncating the
+	// negative span toward zero used to count.
+	if got := ConvOutSize(1, 4, 2, 1); got != 0 {
+		t.Fatalf("ConvOutSize(1, 4, 2, 1) = %d, want 0", got)
+	}
+	if got := ConvOutSize(2, 5, 2, 1); got != 0 {
+		t.Fatalf("ConvOutSize(2, 5, 2, 1) = %d, want 0", got)
+	}
 }
 
 func TestIm2colKnownValues(t *testing.T) {
