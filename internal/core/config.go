@@ -126,14 +126,26 @@ func (c Config) Validate() error {
 	if c.CondDim > 0 && (c.CondHidden <= 0 || c.CondChannels <= 0) {
 		return fmt.Errorf("core: conditioning enabled but hidden=%d channels=%d", c.CondHidden, c.CondChannels)
 	}
-	if c.Lambda < 0 {
-		return fmt.Errorf("core: negative lambda %v", c.Lambda)
+	// Each test is written so that NaN fails it: every comparison with
+	// NaN is false.
+	if !(c.Lambda >= 0) || math.IsInf(c.Lambda, 0) {
+		return fmt.Errorf("core: lambda must be finite and non-negative, got %v", c.Lambda)
 	}
-	if c.PixelCap <= 0 {
-		return fmt.Errorf("core: pixel cap must be positive, got %v", c.PixelCap)
+	if !(c.LR >= 0) || math.IsInf(c.LR, 0) {
+		return fmt.Errorf("core: learning rate must be finite and non-negative, got %v", c.LR)
 	}
-	if c.MissPixelCap <= 0 {
-		return fmt.Errorf("core: miss pixel cap must be positive, got %v", c.MissPixelCap)
+	if !(c.DropoutP >= 0 && c.DropoutP < 1) {
+		// P = 1 makes the keep factor 1/(1-P) infinite.
+		return fmt.Errorf("core: dropout probability must be in [0, 1), got %v", c.DropoutP)
+	}
+	if !(c.PixelCap > 0) || math.IsInf(float64(c.PixelCap), 0) {
+		return fmt.Errorf("core: pixel cap must be finite and positive, got %v", c.PixelCap)
+	}
+	if !(c.MissPixelCap > 0) || math.IsInf(float64(c.MissPixelCap), 0) {
+		return fmt.Errorf("core: miss pixel cap must be finite and positive, got %v", c.MissPixelCap)
+	}
+	if math.IsNaN(c.Gamma) || math.IsInf(c.Gamma, 0) {
+		return fmt.Errorf("core: codec gamma must be finite, got %v", c.Gamma)
 	}
 	return nil
 }

@@ -44,12 +44,42 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.CondDim = 2; c.CondChannels = 0 },
 		func(c *Config) { c.Lambda = -1 },
 		func(c *Config) { c.PixelCap = 0 },
+		// Values every comparison lets through when it is false on NaN,
+		// and a dropout probability whose keep factor 1/(1-P) is
+		// infinite or negative.
+		func(c *Config) { c.DropoutP = 1 },
+		func(c *Config) { c.DropoutP = -0.5 },
+		func(c *Config) { c.DropoutP = math.NaN() },
+		func(c *Config) { c.PixelCap = float32(math.NaN()) },
+		func(c *Config) { c.PixelCap = float32(math.Inf(1)) },
+		func(c *Config) { c.MissPixelCap = float32(math.Inf(1)) },
+		func(c *Config) { c.MissPixelCap = float32(math.NaN()) },
+		func(c *Config) { c.Lambda = math.NaN() },
+		func(c *Config) { c.Lambda = math.Inf(1) },
+		func(c *Config) { c.LR = -1 },
+		func(c *Config) { c.LR = math.NaN() },
+		func(c *Config) { c.LR = math.Inf(1) },
+		func(c *Config) { c.Gamma = math.NaN() },
+		func(c *Config) { c.Gamma = math.Inf(-1) },
 	}
 	for i, mod := range bads {
 		c := DefaultConfig()
 		mod(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+	goods := []func(*Config){
+		func(c *Config) { c.DropoutP = 0 },
+		func(c *Config) { c.DropoutP = 0.99 },
+		func(c *Config) { c.Lambda = 0 },
+		func(c *Config) { c.LR = 0 }, // the Pix2Pix default
+	}
+	for i, mod := range goods {
+		c := DefaultConfig()
+		mod(&c)
+		if err := c.Validate(); err != nil {
+			t.Errorf("good config %d rejected: %v", i, err)
 		}
 	}
 }

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"cachebox/internal/nn"
+	"cachebox/internal/par"
 	"cachebox/internal/tensor"
 )
 
@@ -24,10 +28,14 @@ type Generator struct {
 	drops []*nn.Dropout // nil when disabled
 	tanh  *nn.Tanh
 
-	// cached forward state for backward
+	// What the last training forward kept for Backward; an eval forward
+	// leaves it alone.
 	skips    []*tensor.Tensor
 	batch    int
 	condUsed bool
+
+	// packMu serialises packWeights between concurrent eval forwards.
+	packMu sync.Mutex
 }
 
 // NewGenerator builds the generator for cfg.
@@ -174,11 +182,84 @@ func splitC(d *tensor.Tensor, c1 int) (da, db *tensor.Tensor) {
 // Forward maps access images x [N,1,S,S] (and cache parameters params
 // [N,CondDim] when conditioning is enabled) to synthetic miss images
 // [N,1,S,S] in [-1,1].
+//
+// A training forward runs the batch as one pass and keeps what Backward
+// reads. An eval forward (train false) writes no layer field, so it
+// first brings the conv layers' packed weights up to date and then cuts
+// the batch into min(GOMAXPROCS, N) contiguous sample ranges that run
+// concurrently on this one generator (forwardSplit). Its result is
+// bit-identical to the batch run as one pass: every eval op is per
+// sample. Eval forwards on one generator may run concurrently with each
+// other, but not with a training forward or a weight update.
 func (g *Generator) Forward(x, params *tensor.Tensor, train bool) *tensor.Tensor {
+	if train {
+		return g.forward(x, params, true)
+	}
+	g.packWeights()
+	return g.forwardSplit(x, params, runtime.GOMAXPROCS(0))
+}
+
+// packWeights brings every conv layer's packed weights up to the
+// current version of its weight (nn.Conv2d.PackWeights), under a lock
+// so that concurrent eval forwards do not rebuild a pack at once.
+func (g *Generator) packWeights() {
+	g.packMu.Lock()
+	defer g.packMu.Unlock()
+	for _, c := range g.convs {
+		c.PackWeights()
+	}
+	for _, u := range g.ups {
+		u.PackWeights()
+	}
+}
+
+// forwardSplit runs an eval forward as min(parts, N) forwards over
+// contiguous sample ranges of the batch, concurrently, each writing its
+// rows of one output tensor. The split cannot change a bit: batch norm
+// uses its running statistics, dropout is the identity, the
+// activations, bias adds and col2im act on one sample's values, and
+// each GEMM element sums over the depth only, in the same order
+// whatever the number of columns (samples × positions) beside it.
+func (g *Generator) forwardSplit(x, params *tensor.Tensor, parts int) *tensor.Tensor {
+	n := x.Shape[0]
+	if parts = min(parts, n); parts <= 1 {
+		return g.forward(x, params, false)
+	}
+	condDim := g.cfg.CondDim
+	if condDim > 0 {
+		mustValidShape(params != nil, "core: generator requires cache parameters (CondDim > 0)")
+		mustValidShape(params.Len() == n*condDim, "core: %d cache parameters for %d images of %d", params.Len(), n, condDim)
+	}
+	mustValidShape(len(x.Shape) == 4, "core: generator input shape %v, want [N 1 S S]", x.Shape)
+	inSize := x.Len() / n
+	outC := g.ups[len(g.ups)-1].OutC
+	y := tensor.New(n, outC, x.Shape[2], x.Shape[3])
+	outSize := y.Len() / n
+	err := par.New(parts).Run(context.TODO(), parts, func(_ context.Context, i int) error {
+		lo, hi := i*n/parts, (i+1)*n/parts
+		xs := tensor.FromSlice(x.Data[lo*inSize:hi*inSize], hi-lo, x.Shape[1], x.Shape[2], x.Shape[3])
+		var ps *tensor.Tensor
+		if condDim > 0 {
+			ps = tensor.FromSlice(params.Data[lo*condDim:hi*condDim], hi-lo, condDim)
+		}
+		ys := g.forward(xs, ps, false)
+		mustValidShape(ys.Len() == (hi-lo)*outSize, "core: generator range output %v, want %d values", ys.Shape, (hi-lo)*outSize)
+		copy(y.Data[lo*outSize:hi*outSize], ys.Data)
+		return nil
+	})
+	// Ranges return no errors, so err can only be a captured panic:
+	// re-raise it on the caller, as the unsplit forward would have.
+	mustValidShape(err == nil, "core: generator forward: %v", err)
+	return y
+}
+
+// forward is the layer sequence over the whole of x. Only a training
+// forward (train true) writes the generator: it keeps the skips, batch
+// size and conditioning flag Backward reads.
+func (g *Generator) forward(x, params *tensor.Tensor, train bool) *tensor.Tensor {
 	d := g.cfg.depth()
 	n := x.Shape[0]
-	g.batch = n
-	g.skips = g.skips[:0]
+	skips := make([]*tensor.Tensor, 0, d-1)
 	h := x
 	for i := 0; i < d; i++ {
 		h = g.convs[i].Forward(h, train)
@@ -187,10 +268,10 @@ func (g *Generator) Forward(x, params *tensor.Tensor, train bool) *tensor.Tensor
 		}
 		h = g.acts[i].Forward(h, train)
 		if i < d-1 {
-			g.skips = append(g.skips, h)
+			skips = append(skips, h)
 		}
 	}
-	g.condUsed = false
+	condUsed := false
 	if g.cfg.CondDim > 0 {
 		mustValidShape(params != nil, "core: generator requires cache parameters (CondDim > 0)")
 		p := params
@@ -199,7 +280,10 @@ func (g *Generator) Forward(x, params *tensor.Tensor, train bool) *tensor.Tensor
 		}
 		bh := g.cfg.ImageSize >> uint(d)
 		h = concatC(h, p.Reshape(n, g.cfg.CondChannels, bh, bh))
-		g.condUsed = true
+		condUsed = true
+	}
+	if train {
+		g.skips, g.batch, g.condUsed = skips, n, condUsed
 	}
 	u := h
 	for j := 0; j < d; j++ {
@@ -210,7 +294,7 @@ func (g *Generator) Forward(x, params *tensor.Tensor, train bool) *tensor.Tensor
 			if g.drops[j] != nil {
 				u = g.drops[j].Forward(u, train)
 			}
-			u = concatC(u, g.skips[d-2-j])
+			u = concatC(u, skips[d-2-j])
 		}
 	}
 	return g.tanh.Forward(u, train)
@@ -237,12 +321,11 @@ func (g *Generator) PrepareQuant() {
 
 // ForwardQuantized is the int8 inference forward: the same graph as
 // Forward in eval mode, with every conv/dense GEMM running through the
-// quantized kernels. The conv/dense layers take their inference-only
-// path (no im2col caching for backward, arena scratch instead), and the
-// generator-level skip list stays local instead of overwriting
-// g.skips. PrepareQuant must have been called first. Like Forward,
-// calls require external serialisation per model instance (the serve
-// registry's per-entry mutex provides it).
+// quantized kernels, over the whole batch as one pass: activations are
+// quantized per batch tensor, so a split would change the result.
+// PrepareQuant must have been called first, and calls require external
+// serialisation per model instance (the serve registry's per-entry
+// mutex provides it).
 func (g *Generator) ForwardQuantized(x, params *tensor.Tensor) *tensor.Tensor {
 	d := g.cfg.depth()
 	n := x.Shape[0]

@@ -138,7 +138,11 @@ func (m *Model) paramsTensor(batch []Sample) *tensor.Tensor {
 // processing the whole slice as batches of batchSize (paper RQ5:
 // batched inference folds each layer of the batch into one large
 // matrix multiplication). params supplies the cache parameters applied
-// to every image; it is ignored by unconditioned models.
+// to every image; it is ignored by unconditioned models. One call uses
+// every core: the generator splits each batch by sample across
+// GOMAXPROCS (Generator.Forward), with results bit-identical to an
+// unsplit forward. Concurrent calls on one Model are still not
+// supported; callers that share a model must serialise them.
 func (m *Model) Predict(access []*heatmap.Heatmap, params []float32, batchSize int) []*heatmap.Heatmap {
 	if batchSize <= 0 {
 		batchSize = 1
@@ -186,8 +190,8 @@ func (m *Model) Predict(access []*heatmap.Heatmap, params []float32, batchSize i
 // §4.4): the true hit rate of the pairs, and the hit rate implied by
 // the predicted miss heatmaps once each is clamped to its access image
 // (a cache cannot miss more often than it is accessed). Predict itself
-// stays unclamped. Like Predict, Score is not safe for concurrent use
-// on one Model.
+// stays unclamped. Like Predict, one Score call uses every core, and
+// Score is not safe for concurrent use on one Model.
 func (m *Model) Score(hm heatmap.Config, pairs []heatmap.Pair, params []float32, batchSize int) (trueHR, predHR float64, err error) {
 	if len(pairs) == 0 {
 		return 0, 0, fmt.Errorf("core: no heatmaps to score (trace too short for %dx%d windows)", hm.Height, hm.Width)
@@ -221,8 +225,8 @@ func (m *Model) Score(hm heatmap.Config, pairs []heatmap.Pair, params []float32,
 // GEMM. All validation failures come back as errors (never panics) so
 // a serving layer can map them to clean 4xx responses.
 //
-// The forward pass caches activations inside the generator, so
-// PredictConditioned is not safe for concurrent use on one Model;
+// Like Predict, one call splits the batch by sample across every core,
+// and PredictConditioned is not safe for concurrent use on one Model;
 // callers that share a model across goroutines must serialise calls.
 func (m *Model) PredictConditioned(access []*heatmap.Heatmap, conds []ConditionVec) ([]*heatmap.Heatmap, error) {
 	var params [][]float32

@@ -9,25 +9,32 @@ import (
 
 // ReLU is max(0, x).
 type ReLU struct {
-	mask []bool
+	mask []bool // which inputs of the last training forward passed
 }
 
-// Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+// Forward implements Layer. Only a training forward keeps its mask.
+func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := x.Clone()
-	if cap(r.mask) < len(y.Data) {
-		r.mask = make([]bool, len(y.Data))
-	}
-	r.mask = r.mask[:len(y.Data)]
 	for i, v := range y.Data {
 		if v <= 0 {
 			y.Data[i] = 0
-			r.mask[i] = false
-		} else {
-			r.mask[i] = true
+		}
+	}
+	if train {
+		r.mask = growMask(r.mask, len(x.Data))
+		for i, v := range x.Data {
+			r.mask[i] = !(v <= 0)
 		}
 	}
 	return y
+}
+
+// growMask returns mask resliced to n, reallocated only when too short.
+func growMask(mask []bool, n int) []bool {
+	if cap(mask) < n {
+		return make([]bool, n)
+	}
+	return mask[:n]
 }
 
 // Backward implements Layer.
@@ -48,25 +55,24 @@ func (r *ReLU) Params() []*Param { return nil }
 // Alpha=0.2).
 type LeakyReLU struct {
 	Alpha float32
-	mask  []bool
+	mask  []bool // which inputs of the last training forward were ≥ 0
 }
 
 // NewLeakyReLU returns a LeakyReLU with the given slope.
 func NewLeakyReLU(alpha float32) *LeakyReLU { return &LeakyReLU{Alpha: alpha} }
 
-// Forward implements Layer.
-func (r *LeakyReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+// Forward implements Layer. Only a training forward keeps its mask.
+func (r *LeakyReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := x.Clone()
-	if cap(r.mask) < len(y.Data) {
-		r.mask = make([]bool, len(y.Data))
-	}
-	r.mask = r.mask[:len(y.Data)]
 	for i, v := range y.Data {
 		if v < 0 {
 			y.Data[i] = v * r.Alpha
-			r.mask[i] = false
-		} else {
-			r.mask[i] = true
+		}
+	}
+	if train {
+		r.mask = growMask(r.mask, len(x.Data))
+		for i, v := range x.Data {
+			r.mask[i] = !(v < 0)
 		}
 	}
 	return y
@@ -89,16 +95,18 @@ func (r *LeakyReLU) Params() []*Param { return nil }
 // Tanh is the hyperbolic tangent (the Pix2Pix generator's output
 // activation).
 type Tanh struct {
-	y *tensor.Tensor
+	y *tensor.Tensor // output of the last training forward
 }
 
-// Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+// Forward implements Layer. Only a training forward keeps its output.
+func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := x.Clone()
 	for i, v := range y.Data {
 		y.Data[i] = float32(math.Tanh(float64(v)))
 	}
-	t.y = y
+	if train {
+		t.y = y
+	}
 	return y
 }
 
@@ -116,16 +124,18 @@ func (t *Tanh) Params() []*Param { return nil }
 
 // Sigmoid is the logistic function.
 type Sigmoid struct {
-	y *tensor.Tensor
+	y *tensor.Tensor // output of the last training forward
 }
 
-// Forward implements Layer.
-func (s *Sigmoid) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+// Forward implements Layer. Only a training forward keeps its output.
+func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := x.Clone()
 	for i, v := range y.Data {
 		y.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
 	}
-	s.y = y
+	if train {
+		s.y = y
+	}
 	return y
 }
 
@@ -153,7 +163,7 @@ type Dropout struct {
 	// it on resume (the rand.Rand internals are not serialisable).
 	draws int64
 
-	mask []float32
+	mask []float32 // keep factors of the last training forward; nil when P <= 0
 }
 
 // NewDropout builds a dropout layer with its own RNG for determinism.
@@ -188,9 +198,13 @@ func (d *Dropout) SeekTo(n int64) {
 	d.draws = n
 }
 
-// Forward implements Layer.
+// Forward implements Layer. An eval forward is the identity and
+// writes nothing.
 func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || d.P <= 0 {
+	if !train {
+		return x
+	}
+	if d.P <= 0 {
 		d.mask = nil
 		return x
 	}

@@ -96,6 +96,7 @@ func (a *Adam) Step() {
 			v.Data[j] = float32(vf)
 			p.Value.Data[j] -= float32(a.LR * (mf / bc1) / (math.Sqrt(vf/bc2) + a.Eps))
 		}
+		p.version++
 		p.Grad.Zero()
 	}
 }

@@ -17,15 +17,17 @@ type Conv2d struct {
 	W *Param // [OutC, InC*Kernel*Kernel]
 	B *Param // [OutC]
 
-	// xp is the zero-bordered input [N, InC, H+2Pad, W+2Pad]: the source
-	// of the forward and weight-gradient operands, kept for backward and
-	// reused across calls (ensureTensor), a quarter the size of the
-	// column matrix at kernel 4, stride 2.
+	// xp is the zero-bordered input [N, InC, H+2Pad, W+2Pad] of the last
+	// training forward: the source of the weight-gradient operand, kept
+	// for backward and reused across calls (ensureTensor), a quarter the
+	// size of the column matrix at kernel 4, stride 2. An eval forward
+	// borders its input in arena scratch instead and writes no field.
 	xp         *tensor.Tensor
-	dcols      *tensor.Tensor // reused backward scratch [InC*k*k, N*outHW]
 	inH, inW   int
 	n          int
 	outH, outW int
+
+	pack weightPack // W packed for eval forwards, see PackWeights
 
 	qw *tensor.QuantMat // int8 weights [OutC, InC*k*k], set by PrepareQuant
 }
@@ -44,18 +46,36 @@ func NewConv2d(rng *rand.Rand, name string, inC, outC, kernel, stride, pad int) 
 // Params implements Layer.
 func (c *Conv2d) Params() []*Param { return []*Param{c.W, c.B} }
 
-// Forward implements Layer. x is [N, InC, H, W].
-func (c *Conv2d) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+// PackWeights packs W for the weight's current version (Param.version),
+// so that eval forwards read its GEMM panels instead of packing W in
+// every tile of every call; it is a no-op while the pack is current. A
+// forward whose pack is stale or was never built packs per tile, as
+// every training forward does: training changes W on every step, so a
+// pack would serve one call. PackWeights writes the layer, so it must
+// not run concurrently with itself or with a Forward of this layer.
+func (c *Conv2d) PackWeights() { c.pack.refresh(c.W, weights(c.W)) }
+
+// Forward implements Layer. x is [N, InC, H, W]. With train false it
+// writes no field of the layer, so eval forwards may run concurrently.
+func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkConvInput("Conv2d input", x.Shape, c.InC, c.Kernel, c.Pad)
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	outH := tensor.ConvOutSize(h, c.Kernel, c.Stride, c.Pad)
 	outW := tensor.ConvOutSize(w, c.Kernel, c.Stride, c.Pad)
 	outHW := outH * outW
 	hp, wp := h+2*c.Pad, w+2*c.Pad
-	xp := ensureTensor(c.xp, n, c.InC, hp, wp)
+	var xp *tensor.Tensor
+	var lease tensor.Scratch
+	if train {
+		xp = ensureTensor(c.xp, n, c.InC, hp, wp)
+	} else {
+		lease = tensor.GetScratch(n * c.InC * hp * wp)
+		xp = tensor.FromSlice(lease.Data, n, c.InC, hp, wp)
+	}
 	tensor.Pad(xp.Data, x.Data, n*c.InC, h, w, c.Pad)
 	y := tensor.New(c.OutC, n*outHW)
-	tensor.GemmOp(y.Data, weights(c.W), tensor.Im2colOperand(xp.Data, n, c.InC, hp, wp, c.Kernel, c.Stride), false)
+	tensor.GemmOp(y.Data, c.pack.operand(c.W, weights(c.W)), tensor.Im2colOperand(xp.Data, n, c.InC, hp, wp, c.Kernel, c.Stride), false)
+	lease.Release()
 	for oc := 0; oc < c.OutC; oc++ {
 		b := c.B.Value.Data[oc]
 		row := y.Data[oc*n*outHW : (oc+1)*n*outHW]
@@ -63,12 +83,15 @@ func (c *Conv2d) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 			row[i] += b
 		}
 	}
-	c.xp, c.n, c.inH, c.inW, c.outH, c.outW = xp, n, h, w, outH, outW
+	if train {
+		c.xp, c.n, c.inH, c.inW, c.outH, c.outW = xp, n, h, w, outH, outW
+	}
 	return ckToNCHW(y, n, c.OutC, outHW).Reshape(n, c.OutC, outH, outW)
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It must follow a training Forward.
 func (c *Conv2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	mustValidShape(c.xp != nil, "nn: Conv2d.Backward without a training Forward")
 	n, outHW := c.n, c.outH*c.outW
 	checkShape("Conv2d grad", dy.Shape, n, c.OutC, c.outH, c.outW)
 	dyCK := channelMajor(dy) // [OutC, N*outHW]
@@ -85,12 +108,12 @@ func (c *Conv2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		}
 		c.B.Grad.Data[oc] += float32(s)
 	}
-	// dCols = Wᵀ × dY into the reused scratch, then scatter into dx.
-	dcols := ensureTensor(c.dcols, c.InC*c.Kernel*c.Kernel, n*outHW)
+	// dCols = Wᵀ × dY into arena scratch, then scatter into dx.
+	dcols := tensor.GetScratch(c.InC * c.Kernel * c.Kernel * n * outHW)
 	tensor.GemmOp(dcols.Data, weights(c.W).T(), dyCK, false)
-	c.dcols = dcols
 	dx := tensor.New(n, c.InC, c.inH, c.inW)
 	tensor.Col2imBatch(dx.Data, dcols.Data, n, c.InC, c.inH, c.inW, c.Kernel, c.Stride, c.Pad)
+	dcols.Release()
 	return dx
 }
 
@@ -104,13 +127,15 @@ type ConvTranspose2d struct {
 	W *Param // [InC, OutC*Kernel*Kernel]
 	B *Param // [OutC]
 
-	// x is the input, kept by reference for backward: no layer writes
-	// to a tensor another layer returned, so it is still intact there.
+	// x is the input of the last training forward, kept by reference
+	// for backward: no layer writes to a tensor another layer returned,
+	// so it is still intact there.
 	x          *tensor.Tensor
-	cols       *tensor.Tensor // reused forward scratch [OutC*k*k, N*HW]
 	n          int
 	inH, inW   int
 	outH, outW int
+
+	pack weightPack // Wᵀ packed for eval forwards, see PackWeights
 
 	qwt *tensor.QuantMat // transposed int8 weights [OutC*k*k, InC], set by PrepareQuant
 }
@@ -129,8 +154,13 @@ func NewConvTranspose2d(rng *rand.Rand, name string, inC, outC, kernel, stride, 
 // Params implements Layer.
 func (c *ConvTranspose2d) Params() []*Param { return []*Param{c.W, c.B} }
 
-// Forward implements Layer. x is [N, InC, H, W].
-func (c *ConvTranspose2d) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+// PackWeights packs Wᵀ, the forward GEMM's A operand, for the weight's
+// current version; see Conv2d.PackWeights.
+func (c *ConvTranspose2d) PackWeights() { c.pack.refresh(c.W, weights(c.W).T()) }
+
+// Forward implements Layer. x is [N, InC, H, W]. With train false it
+// writes no field of the layer, so eval forwards may run concurrently.
+func (c *ConvTranspose2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkShape("ConvTranspose2d input", x.Shape, -1, c.InC, -1, -1)
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	hw := h * w
@@ -138,11 +168,11 @@ func (c *ConvTranspose2d) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	outW := tensor.ConvTransposeOutSize(w, c.Kernel, c.Stride, c.Pad)
 	// The output is the input of the convolution this is the adjoint of.
 	checkConvInput("ConvTranspose2d output", []int{n, c.OutC, outH, outW}, c.OutC, c.Kernel, c.Pad)
-	cols := ensureTensor(c.cols, c.OutC*c.Kernel*c.Kernel, n*hw)
-	tensor.GemmOp(cols.Data, weights(c.W).T(), channelMajor(x), false)
-	c.cols = cols
+	cols := tensor.GetScratch(c.OutC * c.Kernel * c.Kernel * n * hw)
+	tensor.GemmOp(cols.Data, c.pack.operand(c.W, weights(c.W).T()), channelMajor(x), false)
 	y := tensor.New(n, c.OutC, outH, outW)
 	tensor.Col2imBatch(y.Data, cols.Data, n, c.OutC, outH, outW, c.Kernel, c.Stride, c.Pad)
+	cols.Release()
 	for in := 0; in < n; in++ {
 		for oc := 0; oc < c.OutC; oc++ {
 			b := c.B.Value.Data[oc]
@@ -152,12 +182,15 @@ func (c *ConvTranspose2d) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 			}
 		}
 	}
-	c.x, c.n, c.inH, c.inW, c.outH, c.outW = x, n, h, w, outH, outW
+	if train {
+		c.x, c.n, c.inH, c.inW, c.outH, c.outW = x, n, h, w, outH, outW
+	}
 	return y
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It must follow a training Forward.
 func (c *ConvTranspose2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	mustValidShape(c.x != nil, "nn: ConvTranspose2d.Backward without a training Forward")
 	n, hw := c.n, c.inH*c.inW
 	checkShape("ConvTranspose2d grad", dy.Shape, n, c.OutC, c.outH, c.outW)
 	hp, wp := c.outH+2*c.Pad, c.outW+2*c.Pad
@@ -187,6 +220,40 @@ func (c *ConvTranspose2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 // weights describes a conv weight [rows, cols] as a GEMM operand.
 func weights(p *Param) tensor.Operand {
 	return tensor.Mat(p.Value.Data, p.Value.Shape[0], p.Value.Shape[1])
+}
+
+// weightPack is a conv layer's forward A operand (W or Wᵀ) packed
+// ahead (tensor.Operand.PackedA) from one version of its weight: the
+// weight's backing array and Param.version at the time of packing. A
+// parameter re-aliased to another tensor or updated in place by an
+// optimiser step or Restore no longer matches, and the pack is stale.
+type weightPack struct {
+	op      tensor.Operand
+	data    *float32
+	version uint64
+}
+
+// current reports whether the pack was built from p as it is now.
+func (w *weightPack) current(p *Param) bool {
+	return w.data == &p.Value.Data[0] && w.version == p.version
+}
+
+// operand returns the pack when it is current and the unpacked a
+// otherwise. It only reads the pack.
+func (w *weightPack) operand(p *Param, a tensor.Operand) tensor.Operand {
+	if w.current(p) {
+		return w.op
+	}
+	return a
+}
+
+// refresh re-packs a, the operand p's weight forms, unless the pack is
+// current.
+func (w *weightPack) refresh(p *Param, a tensor.Operand) {
+	if w.current(p) {
+		return
+	}
+	w.op, w.data, w.version = a.PackedA(), &p.Value.Data[0], p.version
 }
 
 // channelMajor describes the NCHW batch x as the [C, N*H*W] matrix the

@@ -267,3 +267,87 @@ func TestLayersLeaveTheirTensorsIntact(t *testing.T) {
 		assertSameBits(t, dy.Data, dy0.Data, tc.name+" output gradient")
 	}
 }
+
+// TestEvalForwardKeepsTrainingState pins the eval half of the layer
+// contract: an eval forward, here on a batch of another size, writes
+// nothing a following Backward reads, so the input and parameter
+// gradients equal those of the training forward/backward alone.
+func TestEvalForwardKeepsTrainingState(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for _, tc := range []struct {
+		name        string
+		layer       Layer
+		shape, eval []int
+	}{
+		{"Conv2d", NewConv2d(rng, "c", 3, 4, 4, 2, 1), []int{2, 3, 8, 8}, []int{3, 3, 6, 6}},
+		{"ConvTranspose2d", NewConvTranspose2d(rng, "ct", 3, 2, 4, 2, 1), []int{2, 3, 4, 4}, []int{1, 3, 2, 2}},
+		{"Dense", NewDense(rng, "d", 5, 7), []int{3, 5}, []int{1, 5}},
+		{"BatchNorm2d", NewBatchNorm2d("bn", 3), []int{2, 3, 4, 4}, []int{1, 3, 2, 2}},
+		{"InstanceNorm2d", NewInstanceNorm2d("in", 3), []int{2, 3, 4, 4}, []int{1, 3, 2, 2}},
+		{"ReLU", &ReLU{}, []int{2, 3, 4, 4}, []int{1, 3, 2, 2}},
+		{"LeakyReLU", NewLeakyReLU(0.2), []int{2, 3, 4, 4}, []int{1, 3, 2, 2}},
+		{"Tanh", &Tanh{}, []int{2, 8}, []int{1, 8}},
+		{"Sigmoid", &Sigmoid{}, []int{2, 8}, []int{1, 8}},
+		{"Dropout", NewDropout(0.5, 7), []int{2, 3, 4, 4}, []int{1, 3, 2, 2}},
+	} {
+		x, xe := randInput(rng, tc.shape...), randInput(rng, tc.eval...)
+		var dy *tensor.Tensor
+		grads := func(interleave bool) (*tensor.Tensor, []*tensor.Tensor) {
+			if d, ok := tc.layer.(*Dropout); ok {
+				d.Reseed(5)
+			}
+			ZeroGrads(tc.layer.Params())
+			y := tc.layer.Forward(x, true)
+			if dy == nil {
+				dy = randInput(rng, y.Shape...)
+			}
+			if interleave {
+				tc.layer.Forward(xe, false)
+			}
+			dx := tc.layer.Backward(dy)
+			var gs []*tensor.Tensor
+			for _, p := range tc.layer.Params() {
+				gs = append(gs, p.Grad.Clone())
+			}
+			return dx, gs
+		}
+		dx0, g0 := grads(false)
+		dx1, g1 := grads(true)
+		assertSameBits(t, dx1.Data, dx0.Data, tc.name+" input gradient")
+		for i := range g0 {
+			assertSameBits(t, g1[i].Data, g0[i].Data, tc.name+" parameter gradient")
+		}
+	}
+}
+
+// TestPackedWeightsMatchUnpacked: an eval forward reading the weights
+// PackWeights packed equals a forward that packs per tile, bit for bit,
+// and after an optimiser step the stale pack is not read.
+func TestPackedWeightsMatchUnpacked(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	conv := NewConv2d(rng, "c", 3, 70, 4, 2, 1) // 70 rows: two row blocks
+	convT := NewConvTranspose2d(rng, "ct", 5, 20, 4, 2, 1)
+	for _, tc := range []struct {
+		name  string
+		layer interface {
+			Layer
+			PackWeights()
+		}
+		x *tensor.Tensor
+	}{
+		{"Conv2d", conv, randInput(rng, 2, 3, 8, 8)},
+		{"ConvTranspose2d", convT, randInput(rng, 2, 5, 4, 4)},
+	} {
+		opt := NewSGD(tc.layer.Params(), 0.1, 0)
+		for step := 0; step < 2; step++ {
+			want := tc.layer.Forward(tc.x, true) // no pack yet, or a stale one
+			tc.layer.PackWeights()
+			got := tc.layer.Forward(tc.x, false)
+			assertSameBits(t, got.Data, want.Data, fmt.Sprintf("%s step %d", tc.name, step))
+			for _, p := range tc.layer.Params() {
+				p.Grad.RandNormal(rng, 0, 1)
+			}
+			opt.Step()
+		}
+	}
+}

@@ -14,7 +14,7 @@ type Dense struct {
 	W       *Param // [Out, In]
 	B       *Param // [Out]
 
-	x *tensor.Tensor
+	x *tensor.Tensor // input of the last training forward
 
 	qwt *tensor.QuantMat // transposed int8 weights [In, Out], set by PrepareQuant
 }
@@ -29,10 +29,13 @@ func NewDense(rng *rand.Rand, name string, in, out int) *Dense {
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-// Forward implements Layer. x is [N, In].
-func (d *Dense) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+// Forward implements Layer. x is [N, In]. Only a training forward
+// keeps its input.
+func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkShape("Dense input", x.Shape, -1, d.In)
-	d.x = x
+	if train {
+		d.x = x
+	}
 	y := tensor.MatMulABT(x, d.W.Value) // [N, Out]
 	n := x.Shape[0]
 	for i := 0; i < n; i++ {
@@ -44,8 +47,9 @@ func (d *Dense) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return y
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It must follow a training Forward.
 func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	mustValidShape(d.x != nil, "nn: Dense.Backward without a training Forward")
 	n := d.x.Shape[0]
 	checkShape("Dense grad", dy.Shape, n, d.Out)
 	// dW = dyᵀ × x.

@@ -35,18 +35,21 @@ func NewInstanceNorm2d(name string, c int) *InstanceNorm2d {
 // Params implements Layer.
 func (l *InstanceNorm2d) Params() []*Param { return []*Param{l.Gamma, l.Beta} }
 
-// Forward implements Layer. x is [N, C, H, W].
+// Forward implements Layer. x is [N, C, H, W]. Only a training
+// forward keeps what Backward reads.
 func (l *InstanceNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkShape("InstanceNorm2d input", x.Shape, -1, l.C, -1, -1)
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	hw := h * w
 	y := tensor.New(x.Shape...)
-	l.xhat = tensor.New(x.Shape...)
-	if cap(l.invstd) < n*l.C {
-		l.invstd = make([]float64, n*l.C)
+	if train {
+		l.xhat = tensor.New(x.Shape...)
+		if cap(l.invstd) < n*l.C {
+			l.invstd = make([]float64, n*l.C)
+		}
+		l.invstd = l.invstd[:n*l.C]
+		l.n, l.hw = n, hw
 	}
-	l.invstd = l.invstd[:n*l.C]
-	l.n, l.hw = n, hw
 	for in := 0; in < n; in++ {
 		for c := 0; c < l.C; c++ {
 			off := (in*l.C + c) * hw
@@ -62,11 +65,15 @@ func (l *InstanceNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 			variance /= float64(hw)
 			invstd := 1 / math.Sqrt(variance+l.Eps)
-			l.invstd[in*l.C+c] = invstd
+			if train {
+				l.invstd[in*l.C+c] = invstd
+			}
 			g, b := float64(l.Gamma.Value.Data[c]), float64(l.Beta.Value.Data[c])
 			for i := 0; i < hw; i++ {
 				xh := (float64(x.Data[off+i]) - mean) * invstd
-				l.xhat.Data[off+i] = float32(xh)
+				if train {
+					l.xhat.Data[off+i] = float32(xh)
+				}
 				y.Data[off+i] = float32(g*xh + b)
 			}
 		}
@@ -76,7 +83,7 @@ func (l *InstanceNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *InstanceNorm2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	mustValidShape(l.xhat != nil, "nn: InstanceNorm2d.Backward without Forward")
+	mustValidShape(l.xhat != nil, "nn: InstanceNorm2d.Backward without a training Forward")
 	n, hw := l.n, l.hw
 	dx := tensor.New(dy.Shape...)
 	m := float64(hw)
@@ -131,6 +138,7 @@ func (s *SGD) Step() {
 			v.Data[j] = nv
 			p.Value.Data[j] -= float32(s.LR) * nv
 		}
+		p.version++
 		p.Grad.Zero()
 	}
 }

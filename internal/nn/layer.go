@@ -4,10 +4,12 @@
 // paper's CB-GAN (a Pix2Pix-style conditional GAN) on the CPU, plus gob
 // serialisation of model weights.
 //
-// Layers cache their forward activations, so a layer instance serves
-// one forward/backward in flight at a time; concurrent inference uses
-// separate model replicas or batched inputs (the latter is how CacheBox
-// parallelises, see paper RQ5).
+// A training forward (train == true) caches what its Backward reads,
+// so a layer instance serves one training forward/backward in flight
+// at a time. An eval forward writes no field of any layer: it leases
+// its scratch from the tensor arena and keeps nothing, so eval
+// forwards of one layer may run concurrently, which is how the CB-GAN
+// generator spreads one inference batch over every core (paper RQ5).
 package nn
 
 import (
@@ -22,6 +24,12 @@ type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
+
+	// version counts the in-place updates of Value after construction:
+	// Adam.Step, SGD.Step and Restore each bump it, and they are its
+	// only writers. A conv layer's packed weights record the version
+	// they were packed from and are rebuilt when it moves.
+	version uint64
 }
 
 func newParam(name string, shape ...int) *Param {
@@ -127,10 +135,9 @@ func checkConvInput(what string, got []int, inC, kernel, pad int) {
 
 // ensureTensor returns a tensor of the given shape, reusing t's backing
 // array when its capacity suffices (contents are stale — the caller
-// must overwrite the full extent, which tensor.Pad and non-accumulating
-// GEMMs do). Layers use it for their large per-call work buffers so a
-// steady-state train loop stops allocating bordered-input and column
-// scratch after the first step.
+// must overwrite the full extent, which tensor.Pad does). Conv2d keeps
+// its training forward's bordered input in one, so a steady-state train
+// loop stops allocating it after the first step.
 func ensureTensor(t *tensor.Tensor, shape ...int) *tensor.Tensor {
 	n := 1
 	for _, d := range shape {

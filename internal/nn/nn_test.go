@@ -246,11 +246,15 @@ func TestDropout(t *testing.T) {
 			t.Fatal("inference dropout not identity")
 		}
 	}
-	// Backward after inference passes gradient through unchanged.
+	// An eval forward writes nothing: Backward still applies the mask
+	// of the last training forward.
 	g := tensor.New(1, 10000)
 	g.Fill(3)
-	if got := d.Backward(g); got.Data[0] != 3 {
-		t.Fatal("inference backward altered gradient")
+	got := d.Backward(g)
+	for i, v := range got.Data {
+		if want := 3 * y.Data[i]; v != want {
+			t.Fatalf("backward after an eval forward: grad[%d] = %v, want the training mask's %v", i, v, want)
+		}
 	}
 }
 

@@ -39,6 +39,7 @@ func Restore(blobs []ParamBlob, params []*Param) error {
 				i, b.Name, len(b.Data), p.Value.Len())
 		}
 		copy(p.Value.Data, b.Data)
+		p.version++
 	}
 	return nil
 }

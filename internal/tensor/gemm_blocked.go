@@ -22,7 +22,8 @@ import (
 //     micro-tile reads two contiguous streams and never a partial one.
 //     The packers gather from an Operand (operand.go), so a transposed
 //     matrix or a convolution's column matrix is packed straight from
-//     its source and never copied out first;
+//     its source and never copied out first. An A operand packed ahead
+//     (Operand.PackedA) skips its packer: the tile reads its panels;
 //   - a micro-kernel accumulates one gemmMR × gemmNR patch of C across
 //     one depth block. Two kernels share that contract: gemmMicroGo
 //     below, and on amd64 hosts with AVX2 the assembly kernel in
@@ -128,11 +129,19 @@ func gemmTile(avx2 bool, c []float32, a, b *Operand, t, tilesN int, accumulate b
 	jc := (t % tilesN) * gemmNC
 	mc := min(gemmMC, m-ic)
 	nc := min(gemmNC, n-jc)
-	aps := GetScratch(gemmMC * gemmKC)
+	var aps Scratch
+	if a.panels == nil {
+		aps = GetScratch(gemmMC * gemmKC)
+	}
 	bps := GetScratch(gemmKC * gemmNC)
 	for pc := 0; pc < k; pc += gemmKC {
 		kc := min(gemmKC, k-pc)
-		packA(aps.Data, a, ic, pc, mc, kc)
+		apanels := aps.Data
+		if a.panels != nil {
+			apanels = a.panels[aPanelBlock(ic, pc, mc, k):]
+		} else {
+			packA(apanels, a, ic, pc, mc, kc)
+		}
 		packB(bps.Data, b, jc, pc, nc, kc)
 		// On the first depth block of a non-accumulating GEMM the kernel
 		// starts its accumulators at zero instead of loading C, so the
@@ -142,7 +151,7 @@ func gemmTile(avx2 bool, c []float32, a, b *Operand, t, tilesN int, accumulate b
 			bp := bps.Data[jr*kc : (jr+gemmNR)*kc]
 			nr := min(gemmNR, nc-jr)
 			for ir := 0; ir < mc; ir += gemmMR {
-				ap := aps.Data[ir*kc : (ir+gemmMR)*kc]
+				ap := apanels[ir*kc : (ir+gemmMR)*kc]
 				mr := min(gemmMR, mc-ir)
 				off := (ic+ir)*n + jc + jr
 				if mr == gemmMR && nr == gemmNR {

@@ -200,6 +200,51 @@ func TestMatMulATBAndABT(t *testing.T) {
 	}
 }
 
+// TestPackedAMatchesPacking holds a GEMM whose A operand was packed
+// ahead (Operand.PackedA) to gemmRef bit for bit, for a dense and a
+// transposed A, on every m and k around the panel, tile and depth-block
+// boundaries (so the pack's block offsets are exercised in both
+// directions), in both accumulate modes, with one and many workers.
+// It also pins that T drops a pack: the transposed operand must not
+// read the untransposed panels.
+func TestPackedAMatchesPacking(t *testing.T) {
+	ms := []int{1, 3, 4, 5, gemmMC, gemmMC + 1, 2*gemmMC + 3}
+	ks := []int{1, gemmKC - 1, gemmKC, gemmKC + 1, 2*gemmKC + 3}
+	const n = gemmNR + 3
+	forEachKernel(t, func(t *testing.T, avx2 bool) {
+		rng := rand.New(rand.NewSource(93))
+		for _, m := range ms {
+			for _, k := range ks {
+				a, b, c0 := make([]float32, m*k), make([]float32, k*n), make([]float32, m*n)
+				fillAdversarial(rng, a)
+				fillAdversarial(rng, b)
+				fillAdversarial(rng, c0)
+				at := Transpose(FromSlice(a, m, k))
+				bm := Mat(b, k, n)
+				for _, accumulate := range []bool{false, true} {
+					want := append([]float32(nil), c0...)
+					gemmRef(want, a, b, m, k, n, accumulate)
+					for _, src := range []Operand{Mat(a, m, k), Mat(at.Data, k, m).T()} {
+						packed := src.PackedA()
+						for _, workers := range []int{1, 8} {
+							got := append([]float32(nil), c0...)
+							gemmBlocked(avx2, got, &packed, &bm, accumulate, workers)
+							assertBitsEqual(t, got, want, fmt.Sprintf("packed A %dx%dx%d accumulate=%v j%d", m, k, n, accumulate, workers))
+						}
+					}
+				}
+				// The transpose of a packed k×m operand is the m×k A.
+				flipped := Mat(at.Data, k, m).PackedA().T()
+				got := make([]float32, m*n)
+				gemmBlocked(avx2, got, &flipped, &bm, false, 1)
+				want := make([]float32, m*n)
+				gemmRef(want, a, b, m, k, n, false)
+				assertBitsEqual(t, got, want, fmt.Sprintf("T of a pack %dx%dx%d", m, k, n))
+			}
+		}
+	})
+}
+
 // TestGemmQ8MatchesScaledInt pins the int8 kernel against a directly
 // computed int32 reference: integer accumulation is exact, so equality
 // is bitwise regardless of worker count.

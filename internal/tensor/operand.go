@@ -18,6 +18,10 @@ package tensor
 // write (Im2colOperand), and its T is that matrix transposed; neither
 // is ever built. Every offset is strictly increasing in its index, so
 // a run of consecutive offsets can be copied instead of gathered.
+//
+// PackedA adds a fourth form for a constant A operand: its micro-panels
+// packed once, ahead of any GEMM, which the driver then reads in place
+// of packing each tile.
 type Operand struct {
 	data       []float32
 	rows, cols int
@@ -25,6 +29,10 @@ type Operand struct {
 
 	// Convolution geometry, read by tap and position axes only.
 	c, hp, wp, kernel, stride, outH, outW int
+
+	// panels, when set, holds the whole operand as A micro-panels (see
+	// PackedA); the driver reads them and never gathers from data.
+	panels []float32
 }
 
 type axisKind uint8
@@ -72,12 +80,47 @@ func Im2colOperand(xp []float32, n, c, hp, wp, kernel, stride int) Operand {
 		c: c, hp: hp, wp: wp, kernel: kernel, stride: stride, outH: outH, outW: outW}
 }
 
-// T returns the transpose of o. No data moves: the two axes swap.
+// T returns the transpose of o. No data moves: the two axes swap, and
+// a pack is dropped, because its panels hold o's rows, not its columns.
 func (o Operand) T() Operand {
 	o.rows, o.cols = o.cols, o.rows
 	o.row, o.col = o.col, o.row
+	o.panels = nil
 	return o
 }
+
+// PackedA returns o with every (row block, depth block) of it packed
+// ahead as the A operand of a GEMM, in exactly the micro-panel layout
+// packA writes into a tile's scratch: the block of rows [ic, ic+mc) and
+// depth [pc, pc+kc) starts at panels[ic·k + mcp·pc], where mcp is mc
+// rounded up to whole gemmMR-row panels. The driver then reads each
+// tile's panels from the pack instead of gathering them, so a constant
+// weight matrix is packed once rather than once per tile per call, and
+// since a pack holds the same values packA would write the result is
+// bit-identical. The pack is a snapshot: it does not see later writes
+// to o's source, so the caller must build a new one when those change.
+func (o Operand) PackedA() Operand {
+	m, k := o.rows, o.cols
+	panels := make([]float32, roundUp(m, gemmMR)*k)
+	for ic := 0; ic < m; ic += gemmMC {
+		mc := min(gemmMC, m-ic)
+		for pc := 0; pc < k; pc += gemmKC {
+			kc := min(gemmKC, k-pc)
+			packA(panels[aPanelBlock(ic, pc, mc, k):], &o, ic, pc, mc, kc)
+		}
+	}
+	o.panels = panels
+	return o
+}
+
+// aPanelBlock is the offset of block (ic, pc) in a PackedA pack of
+// depth k, whose row block holds mc rows: every earlier row block is a
+// full gemmMC rows deep over all of k, and within this one each earlier
+// depth block holds its mc rows rounded up to whole panels.
+func aPanelBlock(ic, pc, mc, k int) int { return ic*k + roundUp(mc, gemmMR)*pc }
+
+// roundUp rounds n up to a multiple of m.
+func roundUp(n, m int) int { return (n + m - 1) / m * m }
 
 // offsets fills offs with the offsets of indices i, i+1, … along ax.
 // Tap and position indices are decomposed once and then stepped, so

@@ -394,6 +394,33 @@ func TestFailedJobReportsError(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsDropoutOne: a model config with DropoutP 1, whose
+// dropout keep factor 1/(1-P) is infinite, is refused before training
+// starts, as 400 invalid_config.
+func TestSubmitRejectsDropoutOne(t *testing.T) {
+	_, base, _, digest := newTestService(t)
+	var req JobRequest
+	if err := json.Unmarshal([]byte(jobSpec(t, "drop1", digest, 1, 1)), &req); err != nil {
+		t.Fatal(err)
+	}
+	req.Model.DropoutP = 1
+	spec, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(spec), `"DropoutP":1,`) {
+		t.Fatalf("request %s does not post DropoutP 1", spec)
+	}
+	code, body := do(t, http.MethodPost, base+"/v1/jobs", string(spec))
+	var er errorResponse
+	if err := json.Unmarshal([]byte(body), &er); err != nil {
+		t.Fatalf("body %q: %v", body, err)
+	}
+	if code != http.StatusBadRequest || er.Error.Code != CodeInvalidConfig || !strings.Contains(er.Error.Message, "dropout") {
+		t.Fatalf("DropoutP 1: status %d body %s, want 400 %s naming dropout", code, body, CodeInvalidConfig)
+	}
+}
+
 // TestMetricsExposition: the service exposes its Prometheus families.
 func TestMetricsExposition(t *testing.T) {
 	_, base, _, digest := newTestService(t)
