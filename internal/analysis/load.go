@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 
 	"cachebox/internal/par"
 )
@@ -39,7 +40,7 @@ type Package struct {
 // Loader parses and typechecks the packages of a single module using
 // only the standard library. Module-internal imports are resolved by
 // recursively typechecking their source directories; all other imports
-// are delegated to the compiler's source importer (GOROOT).
+// are delegated to the process's shared source importer (stdImport).
 type Loader struct {
 	// ModulePath is the module's import path, e.g. "cachebox".
 	ModulePath string
@@ -47,7 +48,6 @@ type Loader struct {
 	ModuleDir string
 
 	fset    *token.FileSet
-	std     types.Importer
 	build   build.Context
 	pkgs    map[string]*Package    // by import path
 	parsed  map[string][]*ast.File // pre-parsed syntax by directory (parallel parse phase)
@@ -67,12 +67,10 @@ func NewLoader(moduleDir, modulePath string) (*Loader, error) {
 			return nil, err
 		}
 	}
-	fset := token.NewFileSet()
 	return &Loader{
 		ModulePath: modulePath,
 		ModuleDir:  abs,
-		fset:       fset,
-		std:        importer.ForCompiler(fset, "source", nil),
+		fset:       token.NewFileSet(),
 		build:      build.Default,
 		pkgs:       make(map[string]*Package),
 		parsed:     make(map[string][]*ast.File),
@@ -274,9 +272,26 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	return pkg, nil
 }
 
+// stdImporter type-checks the standard library from GOROOT source, the
+// bulk of a load's cost. One instance serves every Loader in the
+// process, so each stdlib package is checked once, not once per loader;
+// the mutex serialises it, since the source importer is not safe for
+// concurrent use. Its packages are positioned in its own FileSet, not a
+// loader's, so analyzers format and order only module positions.
+var stdImporter = struct {
+	sync.Mutex
+	imp types.Importer
+}{imp: importer.ForCompiler(token.NewFileSet(), "source", nil)}
+
+func stdImport(path string) (*types.Package, error) {
+	stdImporter.Lock()
+	defer stdImporter.Unlock()
+	return stdImporter.imp.Import(path)
+}
+
 // loaderImporter adapts Loader to types.Importer: module-internal
 // import paths are loaded from source, everything else (stdlib) goes
-// through the compiler's source importer.
+// through stdImport.
 type loaderImporter Loader
 
 func (li *loaderImporter) Import(path string) (*types.Package, error) {
@@ -289,5 +304,5 @@ func (li *loaderImporter) Import(path string) (*types.Package, error) {
 		}
 		return pkg.Types, nil
 	}
-	return l.std.Import(path)
+	return stdImport(path)
 }

@@ -22,6 +22,10 @@ import (
 // the model; Cap and Gamma play the same range-shaping role while
 // keeping decode exactly invertible below saturation, which the
 // hit-rate computation (summing decoded miss pixels) relies on.
+//
+// A Gamma <= 0, as in the zero Codec{Cap: c}, is read as 1 (linear).
+// A model's codecs take Gamma from its Config, which Validate requires
+// to be positive, so that reading never applies to a model.
 type Codec struct {
 	Cap   float32
 	Gamma float64

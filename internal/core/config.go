@@ -144,8 +144,10 @@ func (c Config) Validate() error {
 	if !(c.MissPixelCap > 0) || math.IsInf(float64(c.MissPixelCap), 0) {
 		return fmt.Errorf("core: miss pixel cap must be finite and positive, got %v", c.MissPixelCap)
 	}
-	if math.IsNaN(c.Gamma) || math.IsInf(c.Gamma, 0) {
-		return fmt.Errorf("core: codec gamma must be finite, got %v", c.Gamma)
+	if !(c.Gamma > 0) || math.IsInf(c.Gamma, 0) {
+		// Codec reads a gamma <= 0 as linear, which the header would
+		// not say.
+		return fmt.Errorf("core: codec gamma must be finite and positive, got %v", c.Gamma)
 	}
 	return nil
 }

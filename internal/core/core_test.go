@@ -61,6 +61,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LR = math.Inf(1) },
 		func(c *Config) { c.Gamma = math.NaN() },
 		func(c *Config) { c.Gamma = math.Inf(-1) },
+		func(c *Config) { c.Gamma = 0 },
+		func(c *Config) { c.Gamma = -2 },
 	}
 	for i, mod := range bads {
 		c := DefaultConfig()

@@ -134,11 +134,10 @@ func TestConcurrentEvalForwards(t *testing.T) {
 }
 
 // TestEvalPacksFollowWeightUpdates: after each way the generator's
-// weights can change (an Adam step, an SGD step, Restore, and
-// re-aliasing every parameter to another model's tensors), an eval
-// forward equals one on a freshly built model holding the same
-// weights. A conv layer that kept reading the panels it packed before
-// the change fails it.
+// weights can change (an Adam step, Restore, and re-aliasing every
+// parameter to another model's tensors), an eval forward equals one on
+// a freshly built model holding the same weights. A conv layer that
+// kept reading the panels it packed before the change fails it.
 func TestEvalPacksFollowWeightUpdates(t *testing.T) {
 	cfg := tinyConfig()
 	rng := rand.New(rand.NewSource(12))
@@ -163,7 +162,6 @@ func TestEvalPacksFollowWeightUpdates(t *testing.T) {
 		update func(m *Model)
 	}{
 		{"Adam.Step", func(m *Model) { randomGrads(m); nn.NewAdam(m.G.Params(), 0.05).Step() }},
-		{"SGD.Step", func(m *Model) { randomGrads(m); nn.NewSGD(m.G.Params(), 0.05, 0).Step() }},
 		{"Restore", func(m *Model) {
 			if err := nn.Restore(nn.Snapshot(fresh(99).allState()), m.allState()); err != nil {
 				t.Fatal(err)

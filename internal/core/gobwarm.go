@@ -8,8 +8,9 @@ import (
 // init pins gob type IDs for the model and checkpoint wire types; see
 // internal/nn/gobwarm.go for why first-encode order must not depend on
 // the runtime path. The Checkpoint warm transitively covers its nn
-// field types as well, but nn warms its own so standalone nn.Save
-// streams are order-independent too.
+// field types as well, but nn's own warm runs first (a package's init
+// runs after its imports'), so the IDs the model bytes carry for them
+// are the ones nn assigns.
 func init() {
 	enc := gob.NewEncoder(io.Discard)
 	//lint:ignore unchecked-error warming the global gob type registry; encoding zero values of concrete wire types cannot fail

@@ -186,9 +186,6 @@ func (g *Gateway) Start(ctx context.Context) { g.gate.start(ctx) }
 // context is cancelled) — the graceful-drain goroutine's join point.
 func (g *Gateway) Wait() { g.gate.wait() }
 
-// Gate exposes the health gate (the CLI logs transitions from it).
-func (g *Gateway) Gate() *HealthGate { return g.gate }
-
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)

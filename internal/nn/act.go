@@ -122,35 +122,6 @@ func (t *Tanh) Backward(dy *tensor.Tensor) *tensor.Tensor {
 // Params implements Layer.
 func (t *Tanh) Params() []*Param { return nil }
 
-// Sigmoid is the logistic function.
-type Sigmoid struct {
-	y *tensor.Tensor // output of the last training forward
-}
-
-// Forward implements Layer. Only a training forward keeps its output.
-func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := x.Clone()
-	for i, v := range y.Data {
-		y.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-	if train {
-		s.y = y
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (s *Sigmoid) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dx := dy.Clone()
-	for i, v := range s.y.Data {
-		dx.Data[i] *= v * (1 - v)
-	}
-	return dx
-}
-
-// Params implements Layer.
-func (s *Sigmoid) Params() []*Param { return nil }
-
 // Dropout zeroes each activation with probability P during training,
 // scaling survivors by 1/(1-P) (inverted dropout); inference is the
 // identity. Pix2Pix uses P=0.5 in the inner decoder blocks.

@@ -26,8 +26,8 @@ type Param struct {
 	Grad  *tensor.Tensor
 
 	// version counts the in-place updates of Value after construction:
-	// Adam.Step, SGD.Step and Restore each bump it, and they are its
-	// only writers. A conv layer's packed weights record the version
+	// Adam.Step and Restore each bump it, and they are its only
+	// writers. A conv layer's packed weights record the version
 	// they were packed from and are rebuilt when it moves.
 	version uint64
 }

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"encoding/gob"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // ParamBlob is the gob wire form of one parameter tensor.
 type ParamBlob struct {
@@ -42,24 +38,4 @@ func Restore(blobs []ParamBlob, params []*Param) error {
 		p.version++
 	}
 	return nil
-}
-
-// Save writes params to w with gob encoding. Callers embedding the
-// weights in a larger gob stream should Snapshot/Restore with their
-// own encoder instead (a gob decoder buffers, so two decoders cannot
-// share one stream).
-func Save(w io.Writer, params []*Param) error {
-	if err := gob.NewEncoder(w).Encode(Snapshot(params)); err != nil {
-		return fmt.Errorf("nn: save: %w", err)
-	}
-	return nil
-}
-
-// Load reads parameters written by Save into params.
-func Load(r io.Reader, params []*Param) error {
-	var blobs []ParamBlob
-	if err := gob.NewDecoder(r).Decode(&blobs); err != nil {
-		return fmt.Errorf("nn: load: %w", err)
-	}
-	return Restore(blobs, params)
 }

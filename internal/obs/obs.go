@@ -47,9 +47,6 @@ func Install(c *Collector) { active.Store(c) }
 // Installed returns the current collector, or nil when disabled.
 func Installed() *Collector { return active.Load() }
 
-// Enabled reports whether a collector is installed.
-func Enabled() bool { return active.Load() != nil }
-
 // spanKey carries the innermost open span through a context.
 type spanKey struct{}
 

@@ -217,16 +217,6 @@ func (s *SignatureAccumulator) Reset() {
 	s.n = 0
 }
 
-// Signature computes the normalised block-activity signature of a batch
-// of accesses in one call.
-func Signature(accesses []trace.Access, dim int) []float64 {
-	acc := NewSignatureAccumulator(dim)
-	for _, a := range accesses {
-		acc.Add(a.Addr)
-	}
-	return acc.Signature()
-}
-
 // hashBucket maps a block address to a signature bucket with a
 // Fibonacci hash.
 func hashBucket(block uint64, dim int) int {

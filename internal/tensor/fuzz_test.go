@@ -37,10 +37,10 @@ func FuzzGemmBlockedVsRef(f *testing.F) {
 		gemmRef(want, a, b, m, k, n, accumulate)
 		aop, bop := Mat(a, m, k), Mat(b, k, n)
 		if transA {
-			aop = Mat(Transpose(FromSlice(a, m, k)).Data, k, m).T()
+			aop = Mat(transposed(a, m, k), k, m).T()
 		}
 		if transB {
-			bop = Mat(Transpose(FromSlice(b, k, n)).Data, n, k).T()
+			bop = Mat(transposed(b, k, n), n, k).T()
 		}
 		for _, avx2 := range availableKernels() {
 			for _, workers := range []int{1, 5} {
@@ -116,7 +116,7 @@ func FuzzConvOperandVsIm2col(f *testing.F) {
 		for img := 0; img < n; img++ {
 			Im2colStrided(colMat, cols, img*outHW, x[img*c*h*w:(img+1)*c*h*w], c, h, w, kernel, stride, pad)
 		}
-		colMatT := Transpose(FromSlice(colMat, rows, cols)).Data
+		colMatT := transposed(colMat, rows, cols)
 
 		dense := func(r, q int) Operand {
 			v := make([]float32, r*q)

@@ -115,8 +115,8 @@ func TestGemmConcurrentAccumulate(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			c := New(80, 512)
-			MatMulInto(c, a, b, false)
-			MatMulInto(c, a, b, true) // accumulate a second product
+			Gemm(c.Data, a.Data, b.Data, 80, 40, 512, false)
+			Gemm(c.Data, a.Data, b.Data, 80, 40, 512, true) // accumulate a second product
 			results[i] = c
 		}(i)
 	}

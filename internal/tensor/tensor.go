@@ -171,17 +171,6 @@ func MatMul(a, b *Tensor) *Tensor {
 	return c
 }
 
-// MatMulInto computes C += A×B (accumulate=true) or C = A×B into an
-// existing buffer, avoiding allocation in hot loops.
-func MatMulInto(c, a, b *Tensor, accumulate bool) {
-	mustValidShape(len(a.Shape) == 2 && len(b.Shape) == 2 && a.Shape[1] == b.Shape[0],
-		"tensor: MatMulInto shapes %v x %v", a.Shape, b.Shape)
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	mustValidShape(c.Shape[0] == m && c.Shape[1] == n,
-		"tensor: MatMulInto output shape %v, want [%d %d]", c.Shape, m, n)
-	Gemm(c.Data, a.Data, b.Data, m, k, n, accumulate)
-}
-
 // Gemm is the raw kernel: C[m,n] (+)= A[m,k] × B[k,n], row-major.
 // It is GemmOp over two dense operands.
 func Gemm(c, a, b []float32, m, k, n int, accumulate bool) {
@@ -232,24 +221,10 @@ func gemmRef(c, a, b []float32, m, k, n int, accumulate bool) {
 func MatMulATB(a, b *Tensor) *Tensor {
 	mustValidShape(len(a.Shape) == 2 && len(b.Shape) == 2 && a.Shape[0] == b.Shape[0],
 		"tensor: MatMulATB shapes %v x %v", a.Shape, b.Shape)
-	c := New(a.Shape[1], b.Shape[1])
-	matMulATBInto(c, a, b, false)
-	return c
-}
-
-// MatMulATBInto computes C (+)= Aᵀ×B into an existing [m,n] buffer,
-// avoiding the output allocation in hot loops.
-func MatMulATBInto(c, a, b *Tensor, accumulate bool) {
-	mustValidShape(len(a.Shape) == 2 && len(b.Shape) == 2 && a.Shape[0] == b.Shape[0],
-		"tensor: MatMulATBInto shapes %v x %v", a.Shape, b.Shape)
-	mustValidShape(len(c.Shape) == 2 && c.Shape[0] == a.Shape[1] && c.Shape[1] == b.Shape[1],
-		"tensor: MatMulATBInto output shape %v, want [%d %d]", c.Shape, a.Shape[1], b.Shape[1])
-	matMulATBInto(c, a, b, accumulate)
-}
-
-func matMulATBInto(c, a, b *Tensor, accumulate bool) {
 	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	GemmOp(c.Data, Mat(a.Data, k, m).T(), Mat(b.Data, k, n), accumulate)
+	c := New(m, n)
+	GemmOp(c.Data, Mat(a.Data, k, m).T(), Mat(b.Data, k, n), false)
+	return c
 }
 
 // MatMulABT computes C = A×Bᵀ for A [m,k], B [n,k] → C [m,n], packing
@@ -261,33 +236,4 @@ func MatMulABT(a, b *Tensor) *Tensor {
 	c := New(m, n)
 	GemmOp(c.Data, Mat(a.Data, m, k), Mat(b.Data, n, k).T(), false)
 	return c
-}
-
-// Transpose returns Aᵀ for a 2-D tensor.
-func Transpose(a *Tensor) *Tensor {
-	mustValidShape(len(a.Shape) == 2, "tensor: Transpose needs 2-D")
-	t := New(a.Shape[1], a.Shape[0])
-	transposeInto(t.Data, a.Data, a.Shape[0], a.Shape[1])
-	return t
-}
-
-// transposeInto writes the transpose of the row-major rows×cols matrix
-// src into dst (cols×rows), a band of 16 source rows at a time: each
-// destination row then receives 64 contiguous bytes per band while the
-// reads walk 16 sequential streams. The plain row-by-row loop scatters
-// every write to its own cache line and measured 1.4–4.0 ns an element;
-// this one 1.0–1.3. Transpose is its only caller: the GEMM packers read
-// a transposed operand in place (Operand.T).
-func transposeInto(dst, src []float32, rows, cols int) {
-	const band = 16
-	for i0 := 0; i0 < rows; i0 += band {
-		i1 := min(i0+band, rows)
-		for j := 0; j < cols; j++ {
-			d := dst[j*rows+i0 : j*rows+i1]
-			s := src[i0*cols+j:]
-			for i := range d {
-				d[i] = s[i*cols]
-			}
-		}
-	}
 }

@@ -161,43 +161,6 @@ func TestMatMulShapePanics(t *testing.T) {
 	MatMul(New(2, 3), New(4, 5))
 }
 
-func TestMatMulIntoAccumulate(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a, b := randT(rng, 4, 6), randT(rng, 6, 5)
-	c := New(4, 5)
-	c.Fill(1)
-	MatMulInto(c, a, b, true)
-	want := naiveMatMul(a, b)
-	for i := range want.Data {
-		want.Data[i]++
-	}
-	tensorsClose(t, c, want, 1e-3)
-	MatMulInto(c, a, b, false) // overwrite
-	tensorsClose(t, c, naiveMatMul(a, b), 1e-3)
-}
-
-func TestTranspose(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	at := Transpose(a)
-	if at.Dim(0) != 3 || at.Dim(1) != 2 {
-		t.Fatalf("shape %v", at.Shape)
-	}
-	if at.Data[0] != 1 || at.Data[1] != 4 || at.Data[4] != 3 {
-		t.Fatalf("data %v", at.Data)
-	}
-
-	// More rows than one band of transposeInto, and not a multiple of it.
-	b := randT(rand.New(rand.NewSource(6)), 37, 21)
-	bt := Transpose(b)
-	for i := 0; i < 37; i++ {
-		for j := 0; j < 21; j++ {
-			if bt.Data[j*37+i] != b.Data[i*21+j] {
-				t.Fatalf("element (%d,%d) not transposed", i, j)
-			}
-		}
-	}
-}
-
 func TestConvOutSizes(t *testing.T) {
 	// Pix2pix down block: kernel 4, stride 2, pad 1 halves the size.
 	if got := ConvOutSize(64, 4, 2, 1); got != 32 {

@@ -1,44 +1,59 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
+
+	"cachebox/internal/trace"
+	"cachebox/internal/workload"
 )
 
-// FuzzTraceTextRoundTrip checks that any text the parser accepts
-// survives a print/re-parse cycle unchanged: parse → WriteText →
-// ReadText must yield an identical trace. This pins the two halves of
-// the text codec to each other — a formatting change that the parser
-// cannot read back (or a parser leniency the printer cannot reproduce)
-// shows up as a round-trip mismatch instead of silent trace drift.
-func FuzzTraceTextRoundTrip(f *testing.F) {
-	f.Add([]byte("# trace: seed\n12,0x7f001000,R\n15,0x7f001040,W\n"))
-	f.Add([]byte("0,0x0,r\n1,0X10,w\n2,16,0\n3,0x10,1\n"))
-	f.Add([]byte("# trace: spaces \n 7 , 0xff , R \n\n# comment\n8,0xff,W\n"))
-	f.Add([]byte("# trace:\n"))
-	f.Add([]byte("18446744073709551615,0xffffffffffffffff,W\n"))
-	f.Add([]byte(""))
+// FuzzTraceBinaryRoundTrip fuzzes the binary codec, the format every
+// CLI reads traces from disk in. ReadBinary must reject malformed input
+// with ErrBadFormat and never panic, and any trace it accepts must
+// survive WriteBinary → ReadBinary unchanged. The second half pins the
+// two directions of the codec to each other: a decoder leniency the
+// encoder cannot reproduce shows up as a round-trip mismatch.
+func FuzzTraceBinaryRoundTrip(f *testing.F) {
+	encode := func(t *trace.Trace) []byte {
+		var buf bytes.Buffer
+		if err := trace.WriteBinary(&buf, t); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	good := encode(workload.SpecLike(1, 1, 64).Benchmarks[0].Trace())
+	header := func(name string, records uint64) []byte {
+		b := binary.AppendUvarint([]byte("CBX1"), uint64(len(name)))
+		return binary.AppendUvarint(append(b, name...), records)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)-len(good)/3])                 // truncated inside the records
+	f.Add(append([]byte("CBX0"), good[4:]...))          // bad magic
+	f.Add(binary.AppendUvarint([]byte("CBX1"), 1<<20))  // name longer than the format allows
+	f.Add(append(header("x", 1<<40), 0x02, 0x01, 0x00)) // record count past EOF
+	f.Add(encode(&trace.Trace{Name: "empty"}))          // no records
 	f.Fuzz(func(t *testing.T, data []byte) {
-		t1, err := ReadText(bytes.NewReader(data))
+		t1, err := trace.ReadBinary(bytes.NewReader(data))
 		if err != nil {
-			return // invalid input: rejecting it is the correct behaviour
+			if !errors.Is(err, trace.ErrBadFormat) {
+				t.Fatalf("rejection does not wrap ErrBadFormat: %v", err)
+			}
+			return
 		}
 		var buf bytes.Buffer
-		if err := WriteText(&buf, t1); err != nil {
-			t.Fatalf("WriteText on parsed trace: %v", err)
+		if err := trace.WriteBinary(&buf, t1); err != nil {
+			t.Fatalf("WriteBinary on a decoded trace: %v", err)
 		}
-		t2, err := ReadText(&buf)
+		t2, err := trace.ReadBinary(&buf)
 		if err != nil {
-			t.Fatalf("re-parse of printed trace: %v\ntext:\n%s", err, buf.String())
+			t.Fatalf("re-read of a written trace: %v", err)
 		}
-		// The printer always emits canonical R/W and hex addresses, so
-		// the second parse must reproduce the first trace exactly.
 		if t1.Name != t2.Name {
 			t.Fatalf("name changed across round trip: %q -> %q", t1.Name, t2.Name)
-		}
-		if len(t1.Accesses) != len(t2.Accesses) {
-			t.Fatalf("access count changed: %d -> %d", len(t1.Accesses), len(t2.Accesses))
 		}
 		if !reflect.DeepEqual(t1.Accesses, t2.Accesses) {
 			t.Fatalf("accesses changed across round trip\nin:  %+v\nout: %+v", t1.Accesses, t2.Accesses)

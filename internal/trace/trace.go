@@ -4,8 +4,8 @@
 // A trace is the fundamental exchange format between the synthetic
 // workload generators (package workload), the architectural cache
 // simulator (package cachesim) and the heatmap pipeline (package
-// heatmap). Traces can be held in memory, streamed record by record, or
-// serialised to a compact binary format.
+// heatmap). Traces are held in memory and serialised to a compact
+// binary format.
 package trace
 
 import (
@@ -46,50 +46,6 @@ func (t *Trace) Append(addr, ic uint64, write bool) {
 // Slice returns a sub-trace covering accesses [lo, hi).
 func (t *Trace) Slice(lo, hi int) *Trace {
 	return &Trace{Name: t.Name, Accesses: t.Accesses[lo:hi]}
-}
-
-// Reader yields accesses one at a time. Next returns io.EOF after the
-// last access.
-type Reader interface {
-	Next() (Access, error)
-}
-
-// Writer consumes accesses one at a time.
-type Writer interface {
-	Emit(Access) error
-}
-
-// sliceReader adapts a Trace to the Reader interface.
-type sliceReader struct {
-	t *Trace
-	i int
-}
-
-// NewReader returns a Reader over the in-memory trace.
-func NewReader(t *Trace) Reader { return &sliceReader{t: t} }
-
-func (r *sliceReader) Next() (Access, error) {
-	if r.i >= len(r.t.Accesses) {
-		return Access{}, io.EOF
-	}
-	a := r.t.Accesses[r.i]
-	r.i++
-	return a, nil
-}
-
-// Collect drains a Reader into an in-memory trace with the given name.
-func Collect(name string, r Reader) (*Trace, error) {
-	t := &Trace{Name: name}
-	for {
-		a, err := r.Next()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace collect: %w", err)
-		}
-		t.Accesses = append(t.Accesses, a)
-	}
 }
 
 // magic identifies the binary trace format ("CBXT" + version 1).

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -38,48 +37,6 @@ func TestSliceSharesBacking(t *testing.T) {
 	}
 	if sub.Name != "t" {
 		t.Fatalf("sub.Name = %q", sub.Name)
-	}
-}
-
-func TestReaderYieldsAllThenEOF(t *testing.T) {
-	tr := &Trace{Name: "t"}
-	for i := 0; i < 5; i++ {
-		tr.Append(uint64(i), uint64(i), i%2 == 0)
-	}
-	r := NewReader(tr)
-	var got []Access
-	for {
-		a, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		got = append(got, a)
-	}
-	if !reflect.DeepEqual(got, tr.Accesses) {
-		t.Fatalf("reader yielded %v, want %v", got, tr.Accesses)
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("second EOF read: %v", err)
-	}
-}
-
-func TestCollectRoundTrip(t *testing.T) {
-	tr := &Trace{Name: "orig"}
-	for i := 0; i < 100; i++ {
-		tr.Append(uint64(i*8), uint64(3*i), i%7 == 0)
-	}
-	got, err := Collect("copy", NewReader(tr))
-	if err != nil {
-		t.Fatalf("Collect: %v", err)
-	}
-	if got.Name != "copy" {
-		t.Fatalf("name = %q", got.Name)
-	}
-	if !reflect.DeepEqual(got.Accesses, tr.Accesses) {
-		t.Fatal("collected accesses differ")
 	}
 }
 

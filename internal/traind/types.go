@@ -94,7 +94,6 @@ const (
 	CodeBusy          = "busy"           // a job is already training (one at a time)
 	CodeNotFound      = "not_found"      // unknown job id
 	CodeJobDone       = "job_done"       // cancel requested on a finished job
-	CodeInternal      = "internal"       // everything else
 )
 
 // ErrorBody is the detail object of the v1 error envelope, identical
