@@ -51,6 +51,18 @@ func NewDiscriminator(cfg Config, rng *rand.Rand) *Discriminator {
 // Params returns the trainable parameters.
 func (d *Discriminator) Params() []*nn.Param { return d.net.Params() }
 
+// convWeights returns the weights of the conv layers, the params whose
+// GEMM forms a sharded trainer packs.
+func (d *Discriminator) convWeights() []*nn.Param {
+	var ws []*nn.Param
+	for _, l := range d.net.Layers {
+		if c, ok := l.(*nn.Conv2d); ok {
+			ws = append(ws, c.W)
+		}
+	}
+	return ws
+}
+
 // State returns the batch-norm running statistics.
 func (d *Discriminator) State() []*nn.Param {
 	var ps []*nn.Param

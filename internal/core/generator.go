@@ -199,6 +199,19 @@ func (g *Generator) Forward(x, params *tensor.Tensor, train bool) *tensor.Tensor
 	return g.forwardSplit(x, params, runtime.GOMAXPROCS(0))
 }
 
+// convWeights returns the weights of the generator's conv layers, the
+// params whose GEMM forms a sharded trainer packs.
+func (g *Generator) convWeights() []*nn.Param {
+	var ws []*nn.Param
+	for _, c := range g.convs {
+		ws = append(ws, c.W)
+	}
+	for _, u := range g.ups {
+		ws = append(ws, u.W)
+	}
+	return ws
+}
+
 // packWeights brings every conv layer's packed weights up to the
 // current version of its weight (nn.Conv2d.PackWeights), under a lock
 // so that concurrent eval forwards do not rebuild a pack at once.

@@ -17,23 +17,31 @@ import (
 // alone, workers only decide which goroutine computes a shard, so the
 // trained model is byte-identical at any worker count.
 //
-// Each shard owns a full model replica whose trainable Param.Value
-// tensors alias the main model's (layers read weights through *Param,
-// so sharing the value tensor shares the weights), while gradients,
-// activation caches and batch-norm running statistics stay
-// replica-private. Only the serial Adam steps mutate weights, between
-// the parallel phases, so replicas always see the current weights
-// without any copying.
+// Each shard owns a full model replica whose trainable params share
+// the main model's (nn.Param.Share: layers read weights through
+// *Param, so sharing the value tensor shares the weights), while
+// gradients, activation caches and batch-norm running statistics stay
+// replica-private. Only the Adam steps mutate weights, between the
+// parallel phases, so replicas always see the current weights without
+// any copying. A conv weight's packed GEMM forms belong to the main
+// param too: the trainer packs each one once per weight version, before
+// the phase that reads it, and every replica reads that one pack.
 //
 // Per-step flow (mirroring the serial trainStep's two updates):
 //
+//	pack G and D conv weights, W and Wᵀ, where stale (all cores)
 //	phase D (parallel): encode shard, G forward, D real+fake
 //	  forward/backward into replica grads
-//	reduce D grads in shard-index order → optD.Step() (serial)
+//	reduce D grads in shard-index order → optD.Step() (all cores)
+//	pack D conv weights (all cores)
 //	phase G (parallel): D forward on (x, fake), backprop to the fake,
 //	  add λ·L1 grad, G backward into replica grads
-//	reduce G grads in shard-index order → optG.Step() (serial)
+//	reduce G grads in shard-index order → optG.Step() (all cores)
 //	commit batch-norm running stats in shard-index order (serial)
+//
+// The reduction and the Adam steps are elementwise, so they run over
+// element ranges (nn.ForEachRange) with the bytes of a serial pass, and
+// a pack holds exactly the values the GEMM would gather per tile.
 //
 // Dropout masks cannot come from the serial per-layer RNG streams (a
 // shard would need to know how many draws earlier shards made), so
@@ -54,6 +62,9 @@ type shardedTrainer struct {
 	// the batch-norm running statistics.
 	mainG, mainD []*nn.Param
 	mainState    []*nn.Param
+	// convs holds the main model's conv weights, G's then D's, and
+	// convD is its D tail: the params whose packs the replicas read.
+	convs, convD []*nn.Param
 }
 
 // trainReplica is one shard's private training context.
@@ -96,6 +107,9 @@ func newShardedTrainer(m *Model, shards, workers int, seed int64) (*shardedTrain
 		mainG:  m.G.Params(),
 		mainD:  m.D.Params(),
 	}
+	dConvs := m.D.convWeights()
+	t.convs = append(m.G.convWeights(), dConvs...)
+	t.convD = t.convs[len(t.convs)-len(dConvs):]
 	t.mainState = append(t.mainState, m.G.State()...)
 	t.mainState = append(t.mainState, m.D.State()...)
 	for s := 0; s < shards; s++ {
@@ -126,9 +140,10 @@ func newShardedTrainer(m *Model, shards, workers int, seed int64) (*shardedTrain
 	return t, nil
 }
 
-// aliasParams rebinds each replica parameter's value tensor to the
-// main model's, so the replica reads (and the serial optimiser writes)
-// one shared set of weights. Gradient tensors are left private.
+// aliasParams makes each replica parameter share the main model's
+// (nn.Param.Share), so the replica reads the one set of weights the
+// optimiser writes, and the packs the trainer builds of them. Gradient
+// tensors are left private.
 func aliasParams(reps, mains []*nn.Param) error {
 	if len(reps) != len(mains) {
 		return fmt.Errorf("core: replica has %d params, main model has %d", len(reps), len(mains))
@@ -139,7 +154,7 @@ func aliasParams(reps, mains []*nn.Param) error {
 			return fmt.Errorf("core: replica param %d is %s[%d], main model has %s[%d]",
 				i, rp.Name, rp.Value.Len(), mp.Name, mp.Value.Len())
 		}
-		rp.Value = mp.Value
+		rp.Share(mp)
 	}
 	return nil
 }
@@ -214,6 +229,9 @@ func (t *shardedTrainer) step(ctx context.Context, batch []Sample, step int, opt
 	}
 
 	// --- Phase D (parallel): per-shard G forward + D real/fake update.
+	if err := t.packWeights(stepCtx, t.convs); err != nil {
+		return 0, 0, 0, false, err
+	}
 	err = t.pool.Run(stepCtx, len(active), func(_ context.Context, i int) error {
 		s := active[i]
 		rep, r := t.reps[s], ranges[s]
@@ -271,7 +289,11 @@ func (t *shardedTrainer) step(ctx context.Context, batch []Sample, step int, opt
 	optD.Step()
 
 	// --- Phase G (parallel): the replicas' aliased weights already see
-	// the D step above.
+	// the D step above; their packs are rebuilt from it here. G has not
+	// moved since phase D, so its packs are current.
+	if err := t.packWeights(stepCtx, t.convD); err != nil {
+		return 0, 0, 0, false, err
+	}
 	err = t.pool.Run(stepCtx, len(active), func(_ context.Context, i int) error {
 		s := active[i]
 		rep, r := t.reps[s], ranges[s]
@@ -325,23 +347,41 @@ func (t *shardedTrainer) step(ctx context.Context, batch []Sample, step int, opt
 	return dLoss, gAdv, gL1, true, nil
 }
 
+// packWeights brings the packs of the conv weights ws up to their
+// current versions, one weight per task on the trainer's pool, so the
+// next phase's replicas read packed weights instead of packing them
+// per tile. A pack that is current is left alone.
+func (t *shardedTrainer) packWeights(ctx context.Context, ws []*nn.Param) error {
+	err := t.pool.Run(ctx, len(ws), func(_ context.Context, i int) error {
+		ws[i].PackForms()
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("core: packing weights: %w", err)
+	}
+	return nil
+}
+
 // reduceGrads accumulates the replicas' shard-mean gradients into the
 // main model's gradient tensors in strict shard-index order:
 // main.Grad = Σ_s weight_s · rep_s.Grad. Because every loss is a mean
 // over its shard, the weighted sum reproduces the whole-batch mean
 // gradient; the fixed order makes the float32 rounding deterministic.
+// Each element's sum is independent of every other's, so element
+// ranges run on the trainer's pool. The product is rounded before its
+// add (float32(…)), so no architecture may fuse the two.
 func (t *shardedTrainer) reduceGrads(mains []*nn.Param, active []int, grads func(*trainReplica) []*nn.Param) {
-	nn.ZeroGrads(mains)
-	for _, s := range active {
-		rep := t.reps[s]
-		w := float32(rep.weight)
-		for j, rp := range grads(rep)[:len(mains)] {
-			dst := mains[j].Grad.Data
-			for k, g := range rp.Grad.Data {
-				dst[k] += w * g
+	nn.ForEachRange(mains, t.pool.Workers(), func(j, lo, hi int) {
+		dst := mains[j].Grad.Data[lo:hi]
+		clear(dst)
+		for _, s := range active {
+			rep := t.reps[s]
+			w := float32(rep.weight)
+			for k, g := range grads(rep)[j].Grad.Data[lo:hi] {
+				dst[k] += float32(w * g)
 			}
 		}
-	}
+	})
 }
 
 // commitState folds the replicas' batch-norm running statistics back

@@ -2,12 +2,17 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
+
+	"cachebox/internal/nn"
+	"cachebox/internal/tensor"
 )
 
 // shardedSamples is the shared toy dataset of the data-parallel tests.
@@ -235,4 +240,103 @@ func TestDropoutSeedStability(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestShardedPacksFollowWeightUpdates: the replicas read the main
+// model's packed conv weights, and never a pack of an old version.
+// After optD steps the discriminator, after optG steps the generator
+// and after a resume restores other weights — each before and after the
+// trainer re-packs — every conv layer of every replica gives the
+// forward, input gradient and weight gradient of a fresh layer holding
+// the same weights, which packs nothing, bit for bit.
+func TestShardedPacksFollowWeightUpdates(t *testing.T) {
+	m, err := NewModel(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := newShardedTrainer(m, 2, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optG, optD := nn.NewAdam(m.G.Params(), 0.05), nn.NewAdam(m.D.Params(), 0.05)
+	ctx := context.Background()
+	if _, _, _, ok, err := tr.step(ctx, shardedSamples(16)[:4], 0, optG, optD); err != nil || !ok {
+		t.Fatalf("step: ok=%v err=%v", ok, err)
+	}
+	rng := rand.New(rand.NewSource(43))
+	check := func(when string) {
+		t.Helper()
+		for s, rep := range tr.reps {
+			var layers []nn.Layer
+			for _, c := range rep.m.G.convs {
+				layers = append(layers, c)
+			}
+			for _, u := range rep.m.G.ups {
+				layers = append(layers, u)
+			}
+			for _, l := range rep.m.D.net.Layers {
+				if c, ok := l.(*nn.Conv2d); ok {
+					layers = append(layers, c)
+				}
+			}
+			for _, l := range layers {
+				var fresh nn.Layer
+				var x *tensor.Tensor
+				switch c := l.(type) {
+				case *nn.Conv2d:
+					fresh = nn.NewConv2d(rng, "fresh", c.InC, c.OutC, c.Kernel, c.Stride, c.Pad)
+					x = tensor.New(2, c.InC, 8, 8)
+				case *nn.ConvTranspose2d:
+					fresh = nn.NewConvTranspose2d(rng, "fresh", c.InC, c.OutC, c.Kernel, c.Stride, c.Pad)
+					x = tensor.New(2, c.InC, 4, 4)
+				}
+				x.RandNormal(rng, 0, 1)
+				name := l.Params()[0].Name
+				label := fmt.Sprintf("%s: replica %d %s", when, s, name)
+				for i, p := range l.Params() {
+					copy(fresh.Params()[i].Value.Data, p.Value.Data)
+				}
+				nn.ZeroGrads(l.Params())
+				want := fresh.Forward(x, true)
+				assertSameBits(t, l.Forward(x, true), want, label+" forward")
+				dy := tensor.New(want.Shape...)
+				dy.RandNormal(rng, 0, 1)
+				assertSameBits(t, l.Backward(dy), fresh.Backward(dy), label+" input gradient")
+				assertSameBits(t, l.Params()[0].Grad, fresh.Params()[0].Grad, label+" weight gradient")
+			}
+		}
+	}
+	step := func(opt *nn.Adam, ps []*nn.Param) {
+		for _, p := range ps {
+			p.Grad.RandNormal(rng, 0, 1)
+		}
+		opt.Step()
+	}
+	check("after a step")
+	step(optD, m.D.Params())
+	check("after optD")
+	if err := tr.packWeights(ctx, tr.convD); err != nil {
+		t.Fatal(err)
+	}
+	check("after optD and packing D")
+	step(optG, m.G.Params())
+	check("after optG")
+	if err := tr.packWeights(ctx, tr.convs); err != nil {
+		t.Fatal(err)
+	}
+	check("after optG and packing")
+	other := tinyConfig()
+	other.Seed = 99
+	om, err := NewModel(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nn.Restore(nn.Snapshot(om.allState()), m.allState()); err != nil {
+		t.Fatal(err)
+	}
+	check("after Restore")
+	if err := tr.packWeights(ctx, tr.convs); err != nil {
+		t.Fatal(err)
+	}
+	check("after Restore and packing")
 }

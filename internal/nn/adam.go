@@ -1,9 +1,11 @@
 package nn
 
 import (
+	"context"
 	"fmt"
 	"math"
 
+	"cachebox/internal/par"
 	"cachebox/internal/tensor"
 )
 
@@ -81,22 +83,66 @@ func (a *Adam) SetState(st AdamState) error {
 }
 
 // Step applies one update from the accumulated gradients and clears
-// them.
+// them. The update is elementwise, so it runs over element ranges of
+// the parameters on every core (ForEachRange) with the bytes of a
+// serial pass. Each product is rounded before its add (float64(…)), so
+// no architecture may fuse the pair into one multiply-add.
 func (a *Adam) Step() {
 	a.step++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
-	for i, p := range a.params {
-		m, v := a.m[i], a.v[i]
-		for j, g := range p.Grad.Data {
-			gf := float64(g)
-			mf := a.Beta1*float64(m.Data[j]) + (1-a.Beta1)*gf
-			vf := a.Beta2*float64(v.Data[j]) + (1-a.Beta2)*gf*gf
-			m.Data[j] = float32(mf)
-			v.Data[j] = float32(vf)
-			p.Value.Data[j] -= float32(a.LR * (mf / bc1) / (math.Sqrt(vf/bc2) + a.Eps))
+	ForEachRange(a.params, 0, func(i, lo, hi int) {
+		p := a.params[i]
+		w, g := p.Value.Data[lo:hi], p.Grad.Data[lo:hi]
+		m, v := a.m[i].Data[lo:hi], a.v[i].Data[lo:hi]
+		for j, gj := range g {
+			gf := float64(gj)
+			mf := float64(a.Beta1*float64(m[j])) + float64((1-a.Beta1)*gf)
+			vf := float64(a.Beta2*float64(v[j])) + float64((1-a.Beta2)*gf*gf)
+			m[j] = float32(mf)
+			v[j] = float32(vf)
+			w[j] -= float32(a.LR * (mf / bc1) / (math.Sqrt(vf/bc2) + a.Eps))
 		}
+		clear(g)
+	})
+	for _, p := range a.params {
 		p.version++
-		p.Grad.Zero()
 	}
+}
+
+// rangeChunk is the number of elements one ForEachRange task covers:
+// 128 KiB of each float32 array the pass streams, enough to dwarf a
+// task's dispatch and few enough that the cores finish together.
+const rangeChunk = 1 << 15
+
+// ForEachRange runs fn over every element of params, laid end to end
+// and cut into rangeChunk-element tasks on a par pool of width workers
+// (0 selects GOMAXPROCS): fn(i, lo, hi) handles elements [lo, hi) of
+// params[i], and every element is handed to exactly one call. Calls
+// run concurrently, so fn must write only the ranges it is given. It
+// is for elementwise passes over parameters (an optimiser step, a
+// gradient reduction), whose bytes do not depend on the cut.
+func ForEachRange(params []*Param, workers int, fn func(i, lo, hi int)) {
+	total := 0
+	for _, p := range params {
+		total += p.Value.Len()
+	}
+	tasks := (total + rangeChunk - 1) / rangeChunk
+	err := par.New(workers).Run(context.Background(), tasks, func(_ context.Context, t int) error {
+		lo, hi := t*rangeChunk, min((t+1)*rangeChunk, total)
+		base := 0
+		for i, p := range params {
+			n := p.Value.Len()
+			if from, to := max(lo, base), min(hi, base+n); from < to {
+				fn(i, from-base, to-base)
+			}
+			if base += n; base >= hi {
+				break
+			}
+		}
+		return nil
+	})
+	// Tasks return no errors, so err can only be a panic the pool
+	// caught; re-raise it on the caller as a serial pass would.
+	mustValidShape(err == nil, "nn: element range task: %v", err)
 }

@@ -27,8 +27,6 @@ type Conv2d struct {
 	n          int
 	outH, outW int
 
-	pack weightPack // W packed for eval forwards, see PackWeights
-
 	qw *tensor.QuantMat // int8 weights [OutC, InC*k*k], set by PrepareQuant
 }
 
@@ -46,14 +44,17 @@ func NewConv2d(rng *rand.Rand, name string, inC, outC, kernel, stride, pad int) 
 // Params implements Layer.
 func (c *Conv2d) Params() []*Param { return []*Param{c.W, c.B} }
 
-// PackWeights packs W for the weight's current version (Param.version),
-// so that eval forwards read its GEMM panels instead of packing W in
-// every tile of every call; it is a no-op while the pack is current. A
-// forward whose pack is stale or was never built packs per tile, as
-// every training forward does: training changes W on every step, so a
-// pack would serve one call. PackWeights writes the layer, so it must
-// not run concurrently with itself or with a Forward of this layer.
-func (c *Conv2d) PackWeights() { c.pack.refresh(c.W, weights(c.W)) }
+// PackWeights packs W, the forward GEMM's A operand, for the weight's
+// current version (Param.version), so that eval forwards read its GEMM
+// panels instead of packing W in every tile of every call; it is a
+// no-op while the pack is current. A GEMM whose pack is stale or was
+// never built packs per tile, as a serial training step does: it
+// changes W on every step, so a pack would serve one call (the sharded
+// trainer, whose replicas share W, packs both forms with
+// Param.PackForms). PackWeights writes the weight's packs, so it must
+// not run concurrently with itself or with a Forward of a layer that
+// shares the weight.
+func (c *Conv2d) PackWeights() { c.W.pack(formW) }
 
 // Forward implements Layer. x is [N, InC, H, W]. With train false it
 // writes no field of the layer, so eval forwards may run concurrently.
@@ -74,7 +75,7 @@ func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	tensor.Pad(xp.Data, x.Data, n*c.InC, h, w, c.Pad)
 	y := tensor.New(c.OutC, n*outHW)
-	tensor.GemmOp(y.Data, c.pack.operand(c.W, weights(c.W)), tensor.Im2colOperand(xp.Data, n, c.InC, hp, wp, c.Kernel, c.Stride), false)
+	tensor.GemmOp(y.Data, c.W.gemmA(formW), tensor.Im2colOperand(xp.Data, n, c.InC, hp, wp, c.Kernel, c.Stride), false)
 	lease.Release()
 	for oc := 0; oc < c.OutC; oc++ {
 		b := c.B.Value.Data[oc]
@@ -96,8 +97,8 @@ func (c *Conv2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	checkShape("Conv2d grad", dy.Shape, n, c.OutC, c.outH, c.outW)
 	dyCK := channelMajor(dy) // [OutC, N*outHW]
 	cols := tensor.Im2colOperand(c.xp.Data, n, c.InC, c.inH+2*c.Pad, c.inW+2*c.Pad, c.Kernel, c.Stride)
-	// dW = dY × colsᵀ.
-	addGrad(c.W, dyCK, cols.T())
+	// dW += dY × colsᵀ, the product rounded before the add.
+	tensor.GemmAddOp(c.W.Grad.Data, dyCK, cols.T())
 	// dB = row sums of dY, each in (sample, position) order.
 	for oc := 0; oc < c.OutC; oc++ {
 		var s float64
@@ -110,7 +111,7 @@ func (c *Conv2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	// dCols = Wᵀ × dY into arena scratch, then scatter into dx.
 	dcols := tensor.GetScratch(c.InC * c.Kernel * c.Kernel * n * outHW)
-	tensor.GemmOp(dcols.Data, weights(c.W).T(), dyCK, false)
+	tensor.GemmOp(dcols.Data, c.W.gemmA(formWT), dyCK, false)
 	dx := tensor.New(n, c.InC, c.inH, c.inW)
 	tensor.Col2imBatch(dx.Data, dcols.Data, n, c.InC, c.inH, c.inW, c.Kernel, c.Stride, c.Pad)
 	dcols.Release()
@@ -135,8 +136,6 @@ type ConvTranspose2d struct {
 	inH, inW   int
 	outH, outW int
 
-	pack weightPack // Wᵀ packed for eval forwards, see PackWeights
-
 	qwt *tensor.QuantMat // transposed int8 weights [OutC*k*k, InC], set by PrepareQuant
 }
 
@@ -156,7 +155,7 @@ func (c *ConvTranspose2d) Params() []*Param { return []*Param{c.W, c.B} }
 
 // PackWeights packs Wᵀ, the forward GEMM's A operand, for the weight's
 // current version; see Conv2d.PackWeights.
-func (c *ConvTranspose2d) PackWeights() { c.pack.refresh(c.W, weights(c.W).T()) }
+func (c *ConvTranspose2d) PackWeights() { c.W.pack(formWT) }
 
 // Forward implements Layer. x is [N, InC, H, W]. With train false it
 // writes no field of the layer, so eval forwards may run concurrently.
@@ -169,7 +168,7 @@ func (c *ConvTranspose2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	// The output is the input of the convolution this is the adjoint of.
 	checkConvInput("ConvTranspose2d output", []int{n, c.OutC, outH, outW}, c.OutC, c.Kernel, c.Pad)
 	cols := tensor.GetScratch(c.OutC * c.Kernel * c.Kernel * n * hw)
-	tensor.GemmOp(cols.Data, c.pack.operand(c.W, weights(c.W).T()), channelMajor(x), false)
+	tensor.GemmOp(cols.Data, c.W.gemmA(formWT), channelMajor(x), false)
 	y := tensor.New(n, c.OutC, outH, outW)
 	tensor.Col2imBatch(y.Data, cols.Data, n, c.OutC, outH, outW, c.Kernel, c.Stride, c.Pad)
 	cols.Release()
@@ -197,8 +196,8 @@ func (c *ConvTranspose2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dyp := tensor.GetScratch(n * c.OutC * hp * wp)
 	tensor.Pad(dyp.Data, dy.Data, n*c.OutC, c.outH, c.outW, c.Pad)
 	dcols := tensor.Im2colOperand(dyp.Data, n, c.OutC, hp, wp, c.Kernel, c.Stride) // [OutC*k*k, N*HW]
-	// dW = x × dcolsᵀ.
-	addGrad(c.W, channelMajor(c.x), dcols.T())
+	// dW += x × dcolsᵀ, the product rounded before the add.
+	tensor.GemmAddOp(c.W.Grad.Data, channelMajor(c.x), dcols.T())
 	// dB = sums over dy per out channel.
 	ohw := c.outH * c.outW
 	for oc := 0; oc < c.OutC; oc++ {
@@ -212,48 +211,80 @@ func (c *ConvTranspose2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	// dx = W × dcols, back to NCHW.
 	dxCK := tensor.New(c.InC, n*hw)
-	tensor.GemmOp(dxCK.Data, weights(c.W), dcols, false)
+	tensor.GemmOp(dxCK.Data, c.W.gemmA(formW), dcols, false)
 	dyp.Release()
 	return ckToNCHW(dxCK, n, c.InC, hw).Reshape(n, c.InC, c.inH, c.inW)
 }
 
-// weights describes a conv weight [rows, cols] as a GEMM operand.
-func weights(p *Param) tensor.Operand {
-	return tensor.Mat(p.Value.Data, p.Value.Shape[0], p.Value.Shape[1])
+// weightForm names one of the two GEMM A operands a conv weight
+// [rows, cols] is read as, and indexes Param.packs.
+type weightForm uint8
+
+const (
+	// formW is W itself: Conv2d's forward and ConvTranspose2d's dx.
+	formW weightForm = iota
+	// formWT is Wᵀ: ConvTranspose2d's forward and Conv2d's dx.
+	formWT
+)
+
+// of describes p's weight in form f as an unpacked GEMM operand.
+func (f weightForm) of(p *Param) tensor.Operand {
+	w := tensor.Mat(p.Value.Data, p.Value.Shape[0], p.Value.Shape[1])
+	if f == formWT {
+		return w.T()
+	}
+	return w
 }
 
-// weightPack is a conv layer's forward A operand (W or Wᵀ) packed
-// ahead (tensor.Operand.PackedA) from one version of its weight: the
-// weight's backing array and Param.version at the time of packing. A
-// parameter re-aliased to another tensor or updated in place by an
-// optimiser step or Restore no longer matches, and the pack is stale.
+// weightPack is one form of a weight packed ahead
+// (tensor.Operand.PackedA) from one version of it: the backing array it
+// was read from and the owner's Param.version at the time of packing.
+// A param re-aliased to another tensor, or updated in place by an
+// optimiser step or Restore, no longer matches, and the pack is stale.
 type weightPack struct {
 	op      tensor.Operand
 	data    *float32
 	version uint64
 }
 
-// current reports whether the pack was built from p as it is now.
-func (w *weightPack) current(p *Param) bool {
-	return w.data == &p.Value.Data[0] && w.version == p.version
+// current reports whether the pack was built from p's Value as it is
+// now, under owner o's version.
+func (w *weightPack) current(p, o *Param) bool {
+	return w.data == &p.Value.Data[0] && w.version == o.version
 }
 
-// operand returns the pack when it is current and the unpacked a
-// otherwise. It only reads the pack.
-func (w *weightPack) operand(p *Param, a tensor.Operand) tensor.Operand {
-	if w.current(p) {
+// gemmA returns p's weight in form f as a GEMM A operand: the owner's
+// pack when it is current, the unpacked weight otherwise, so a stale
+// pack is never read. It only reads, so concurrent forwards may call
+// it; a pack is only ever built explicitly (pack), never here.
+func (p *Param) gemmA(f weightForm) tensor.Operand {
+	o := p.packOwner()
+	if w := &o.packs[f]; w.current(p, o) {
 		return w.op
 	}
-	return a
+	return f.of(p)
 }
 
-// refresh re-packs a, the operand p's weight forms, unless the pack is
-// current.
-func (w *weightPack) refresh(p *Param, a tensor.Operand) {
-	if w.current(p) {
+// pack brings the owner's pack of form f up to the current version,
+// re-packing into the previous version's buffer, unless it is current.
+func (p *Param) pack(f weightForm) {
+	o := p.packOwner()
+	w := &o.packs[f]
+	if w.current(p, o) {
 		return
 	}
-	w.op, w.data, w.version = a.PackedA(), &p.Value.Data[0], p.version
+	w.op, w.data, w.version = f.of(p).RepackedA(w.op), &p.Value.Data[0], o.version
+}
+
+// PackForms packs a conv weight in both GEMM A forms (W and Wᵀ), which
+// between them serve every weight GEMM of a training forward and
+// backward, unless they are current. It writes the owner's packs, so
+// it must not run concurrently with a forward or backward of any layer
+// that reads the weight; PackForms of different weights may run
+// concurrently.
+func (p *Param) PackForms() {
+	p.pack(formW)
+	p.pack(formWT)
 }
 
 // channelMajor describes the NCHW batch x as the [C, N*H*W] matrix the
@@ -261,16 +292,4 @@ func (w *weightPack) refresh(p *Param, a tensor.Operand) {
 // matrix of a 1×1, stride-1 convolution with no border.
 func channelMajor(x *tensor.Tensor) tensor.Operand {
 	return tensor.Im2colOperand(x.Data, x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], 1, 1)
-}
-
-// addGrad adds a×b to p's gradient. The product is formed on its own
-// and then added, so each gradient element is rounded exactly as
-// AddInPlace of a fresh MatMul rounds it.
-func addGrad(p *Param, a, b tensor.Operand) {
-	g := tensor.GetScratch(len(p.Grad.Data))
-	tensor.GemmOp(g.Data, a, b, false)
-	for i, v := range g.Data {
-		p.Grad.Data[i] += v
-	}
-	g.Release()
 }

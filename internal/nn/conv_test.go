@@ -348,3 +348,52 @@ func TestPackedWeightsMatchUnpacked(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedParamReadsOwnersPack: a layer whose weight shares another
+// param's (Param.Share) reads the owner's packs, both forms, while the
+// owner's version is the one they were packed from, and the unpacked
+// weight once the owner is stepped, bit for bit either way. Its own
+// packs stay empty.
+func TestSharedParamReadsOwnersPack(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, tc := range []struct {
+		name        string
+		owner, user Layer
+		x           *tensor.Tensor
+	}{
+		{"Conv2d", NewConv2d(rng, "c", 3, 70, 4, 2, 1), NewConv2d(rng, "c", 3, 70, 4, 2, 1), randInput(rng, 2, 3, 8, 8)},
+		{"ConvTranspose2d", NewConvTranspose2d(rng, "ct", 5, 20, 4, 2, 1), NewConvTranspose2d(rng, "ct", 5, 20, 4, 2, 1), randInput(rng, 2, 5, 4, 4)},
+	} {
+		ow, uw := tc.owner.Params()[0], tc.user.Params()[0]
+		uw.Share(ow)
+		tc.user.Params()[1].Share(tc.owner.Params()[1])
+		opt := NewAdam(tc.owner.Params(), 0.1)
+		for step := 0; step < 2; step++ {
+			for _, packed := range []bool{false, true} {
+				if packed {
+					ow.PackForms()
+					for f := range ow.packs {
+						if !ow.packs[f].current(uw, ow) {
+							t.Fatalf("%s step %d: form %d of the owner's pack is not current for the sharer", tc.name, step, f)
+						}
+					}
+				}
+				label := fmt.Sprintf("%s step %d packed=%v", tc.name, step, packed)
+				want := tc.owner.Forward(tc.x, true)
+				got := tc.user.Forward(tc.x, true)
+				assertSameBits(t, got.Data, want.Data, label+" forward")
+				dy := randInput(rng, want.Shape...)
+				assertSameBits(t, tc.user.Backward(dy).Data, tc.owner.Backward(dy).Data, label+" input gradient")
+				assertSameBits(t, uw.Grad.Data, ow.Grad.Data, label+" weight gradient")
+			}
+			if uw.packs[formW].data != nil || uw.packs[formWT].data != nil {
+				t.Fatalf("%s: the sharer built packs of its own", tc.name)
+			}
+			for _, p := range tc.owner.Params() {
+				p.Grad.RandNormal(rng, 0, 1)
+			}
+			opt.Step() // the owner's packs are now a version behind
+			ZeroGrads(tc.user.Params())
+		}
+	}
+}

@@ -27,9 +27,37 @@ type Param struct {
 
 	// version counts the in-place updates of Value after construction:
 	// Adam.Step and Restore each bump it, and they are its only
-	// writers. A conv layer's packed weights record the version
-	// they were packed from and are rebuilt when it moves.
+	// writers. A conv weight's packed GEMM forms (packs) record the
+	// version they were packed from and are not read once it moves.
+	// For a param that shares another's Value (Share), the owner's
+	// version governs the shared packs; the sharer's own never moves,
+	// since no optimiser steps a sharer.
 	version uint64
+
+	// owner is the param whose Value, version and packs this one
+	// shares (Share); nil for a param that owns its Value.
+	owner *Param
+	// packs holds the weight's GEMM A forms packed ahead, indexed by
+	// weightForm (see Param.pack). Only an owner's packs are read.
+	packs [2]weightPack
+}
+
+// Share makes p read owner's Value, so that both see one set of
+// weights, and owner's packed GEMM forms of it, so that a pack built
+// once serves every sharer. Only the owner may be stepped or restored:
+// its version is the one a shared pack is checked against. p keeps
+// its own Grad.
+func (p *Param) Share(owner *Param) {
+	p.Value, p.owner = owner.Value, owner.packOwner()
+}
+
+// packOwner returns the param whose version and packs govern p's
+// Value: p's owner, or p itself.
+func (p *Param) packOwner() *Param {
+	if p.owner != nil {
+		return p.owner
+	}
+	return p
 }
 
 func newParam(name string, shape ...int) *Param {

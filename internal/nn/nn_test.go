@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"cachebox/internal/tensor"
@@ -380,5 +382,75 @@ func TestTrainingReducesLossOnToyTask(t *testing.T) {
 	}
 	if last > first*0.2 {
 		t.Fatalf("loss did not fall: first %v last %v", first, last)
+	}
+}
+
+// TestForEachRangeCoversEveryElementOnce lays out parameters that
+// straddle chunk boundaries, and some smaller than a chunk, and checks
+// that every element is handed out exactly once at any pool width.
+func TestForEachRangeCoversEveryElementOnce(t *testing.T) {
+	for _, sizes := range [][]int{{1}, {rangeChunk}, {rangeChunk + 1, 3}, {5, 2*rangeChunk + 7, rangeChunk - 1, 9}} {
+		var params []*Param
+		for i, n := range sizes {
+			params = append(params, newParam(fmt.Sprint("p", i), n))
+		}
+		for _, workers := range []int{1, 3} {
+			ForEachRange(params, workers, func(i, lo, hi int) {
+				for j := range params[i].Value.Data[lo:hi] {
+					params[i].Value.Data[lo+j]++
+				}
+			})
+		}
+		for i, p := range params {
+			for j, v := range p.Value.Data {
+				if v != 2 {
+					t.Fatalf("sizes %v: param %d element %d visited %v times over two passes, want 2", sizes, i, j, v)
+				}
+			}
+		}
+	}
+}
+
+// TestAdamStepIsWidthInvariant: Adam.Step runs over element ranges on
+// a pool as wide as GOMAXPROCS, and gives the same weights and
+// moments, byte for byte, with one worker as with the host's
+// GOMAXPROCS and more, over parameters larger than a range and smaller
+// than one.
+func TestAdamStepIsWidthInvariant(t *testing.T) {
+	build := func() []*Param {
+		rng := rand.New(rand.NewSource(37))
+		var ps []*Param
+		for i, n := range []int{3*rangeChunk + 11, 7, rangeChunk - 5} {
+			p := newParam(fmt.Sprint("p", i), n)
+			p.Value.RandNormal(rng, 0, 1)
+			ps = append(ps, p)
+		}
+		return ps
+	}
+	run := func(workers int) ([]*Param, AdamState) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		ps := build()
+		opt := NewAdam(ps, 0)
+		rng := rand.New(rand.NewSource(38))
+		for step := 0; step < 3; step++ {
+			for _, p := range ps {
+				p.Grad.RandNormal(rng, 0, 1)
+			}
+			opt.Step()
+		}
+		return ps, opt.State()
+	}
+	ref, refState := run(1)
+	for _, workers := range []int{runtime.GOMAXPROCS(0), 8} {
+		ps, st := run(workers)
+		for i := range ps {
+			label := fmt.Sprintf("width %d param %d", workers, i)
+			assertSameBits(t, ps[i].Value.Data, ref[i].Value.Data, label+" value")
+			assertSameBits(t, st.M[i].Data, refState.M[i].Data, label+" first moment")
+			assertSameBits(t, st.V[i].Data, refState.V[i].Data, label+" second moment")
+			if ps[i].version != 3 {
+				t.Fatalf("%s: version %d after 3 steps, want 3", label, ps[i].version)
+			}
+		}
 	}
 }

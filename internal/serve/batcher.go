@@ -193,7 +193,6 @@ func (b *batcher) flushGroup(e *entry, group []*pending) {
 	defer b.inflight.Add(-1)
 	batchCtx, batchSpan := obs.Start(live[0].ctx, "serve.batch")
 	batchSpan.TagInt("size", len(live))
-	defer batchSpan.End()
 	access := make([]*heatmap.Heatmap, len(live))
 	conds := make([]core.ConditionVec, len(live))
 	for i, p := range live {
@@ -208,6 +207,9 @@ func (b *batcher) flushGroup(e *entry, group []*pending) {
 	e.mu.Unlock()
 	fwdSpan.End()
 	b.m.stageInfer.Observe(time.Since(start).Seconds())
+	// The batch span ends before any result is handed out: a caller
+	// that has its answer may read the trace, and must find the span.
+	batchSpan.End()
 	if err != nil {
 		for _, p := range live {
 			p.resp <- result{err: err}

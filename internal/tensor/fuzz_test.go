@@ -11,7 +11,9 @@ import (
 // micro-kernel the host can run, against gemmRef over random shapes and
 // adversarial data (fillAdversarial: normal variates plus a few signed
 // zeros, infinities, NaNs and denormals), with A and B each either
-// dense or read through the transpose of a stored transposed copy:
+// dense or read through the transpose of a stored transposed copy, in
+// the mode the accumulate flag picks and in the add-after mode (held to
+// gemmRef into scratch plus an add, or to an untouched C at depth 0):
 // exact bit equality for the float32 path (the determinism contract),
 // tolerance-bounded agreement for the int8 path on finite data
 // (quantization is lossy by design, but its integer core is exact, so
@@ -42,12 +44,20 @@ func FuzzGemmBlockedVsRef(f *testing.F) {
 		if transB {
 			bop = Mat(transposed(b, k, n), n, k).T()
 		}
+		added := append([]float32(nil), c0...)
+		if k > 0 {
+			addAfterRef(added, a, b, m, k, n)
+		}
 		for _, avx2 := range availableKernels() {
 			for _, workers := range []int{1, 5} {
 				got := append([]float32(nil), c0...)
-				gemmBlocked(avx2, got, &aop, &bop, accumulate, workers)
+				gemmBlocked(avx2, got, &aop, &bop, modeOf(accumulate), workers)
 				assertBitsEqual(t, got, want, fmt.Sprintf("float32 %dx%dx%d acc=%v transA=%v transB=%v avx2=%v j%d",
 					m, k, n, accumulate, transA, transB, avx2, workers))
+				got = append(got[:0], c0...)
+				gemmBlocked(avx2, got, &aop, &bop, gemmAddAfter, workers)
+				assertBitsEqual(t, got, added, fmt.Sprintf("add-after %dx%dx%d transA=%v transB=%v avx2=%v j%d",
+					m, k, n, transA, transB, avx2, workers))
 			}
 		}
 
@@ -142,7 +152,7 @@ func FuzzConvOperandVsIm2col(f *testing.F) {
 			for _, avx2 := range availableKernels() {
 				for _, workers := range []int{1, 5} {
 					got := make([]float32, len(want))
-					gemmBlocked(avx2, got, &pr.a, &pr.b, false, workers)
+					gemmBlocked(avx2, got, &pr.a, &pr.b, gemmSet, workers)
 					assertBitsEqual(t, got, want, fmt.Sprintf("%s n%d c%d %dx%d k%d s%d p%d m%d avx2=%v j%d",
 						pr.name, n, c, h, w, kernel, stride, pad, m, avx2, workers))
 				}

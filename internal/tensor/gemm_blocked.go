@@ -69,13 +69,32 @@ const (
 	gemmParallelMin = 1 << 20
 )
 
-// gemmBlocked is the kernel driver: C[m,n] (+)= A×B for an m×k
-// operand a and a k×n operand b, with C row-major. It cuts C into
-// tiles and runs them serially or across an internal/par pool. workers
-// only changes the schedule, and avx2 only the micro-kernel (see
-// gemmMicro); neither changes the result, and nor does the operands'
-// kind, which only changes where the packers read from.
-func gemmBlocked(avx2 bool, c []float32, a, b *Operand, accumulate bool, workers int) {
+// gemmMode says how a GEMM combines the product with what C holds.
+type gemmMode uint8
+
+const (
+	// gemmSet writes C = A×B.
+	gemmSet gemmMode = iota
+	// gemmAccumulate continues each element's running sum from C:
+	// C = ((C + a₀b₀) + a₁b₁) + …, in depth order.
+	gemmAccumulate
+	// gemmAddAfter forms each element's sum from zero over the whole
+	// depth, then adds it to C: C = C + (a₀b₀ + a₁b₁ + …). That is a
+	// gemmSet into scratch followed by an elementwise add, bit for bit,
+	// without the scratch. Up to gemmKC deep the sum of a micro-tile is
+	// formed in registers and added in the epilogue; a deeper product
+	// spans depth blocks, so it goes through scratch after all.
+	gemmAddAfter
+)
+
+// gemmBlocked is the kernel driver: C[m,n] = A×B, or A×B combined with
+// C as mode says, for an m×k operand a and a k×n operand b, with C
+// row-major. It cuts C into tiles and runs them serially or across an
+// internal/par pool. workers only changes the schedule, and avx2 only
+// the micro-kernel (see gemmMicro); neither changes the result, and nor
+// does the operands' kind, which only changes where the packers read
+// from.
+func gemmBlocked(avx2 bool, c []float32, a, b *Operand, mode gemmMode, workers int) {
 	m, k, n := a.rows, a.cols, b.cols
 	if b.rows != k || len(c) < m*n {
 		mustValidShape(false, "tensor: gemm %dx%d by %dx%d into %d elements", m, k, b.rows, n, len(c))
@@ -84,9 +103,18 @@ func gemmBlocked(avx2 bool, c []float32, a, b *Operand, accumulate bool, workers
 		return
 	}
 	if k <= 0 {
-		if !accumulate {
+		if mode == gemmSet {
 			clear(c[:m*n])
 		}
+		return
+	}
+	if mode == gemmAddAfter && k > gemmKC {
+		s := GetScratch(m * n)
+		gemmBlocked(avx2, s.Data, a, b, gemmSet, workers)
+		for i, v := range s.Data {
+			c[i] += v
+		}
+		s.Release()
 		return
 	}
 	tilesM := (m + gemmMC - 1) / gemmMC
@@ -97,7 +125,7 @@ func gemmBlocked(avx2 bool, c []float32, a, b *Operand, accumulate bool, workers
 	}
 	if workers <= 1 || m*n*k < gemmParallelMin {
 		for t := 0; t < tiles; t++ {
-			gemmTile(avx2, c, a, b, t, tilesN, accumulate)
+			gemmTile(avx2, c, a, b, t, tilesN, mode)
 		}
 		return
 	}
@@ -105,7 +133,7 @@ func gemmBlocked(avx2 bool, c []float32, a, b *Operand, accumulate bool, workers
 	// branch, which allocates a pool anyway, moves them to the heap.
 	ac, bc := *a, *b
 	err := par.New(workers).Run(context.Background(), tiles, func(_ context.Context, t int) error {
-		gemmTile(avx2, c, &ac, &bc, t, tilesN, accumulate)
+		gemmTile(avx2, c, &ac, &bc, t, tilesN, mode)
 		return nil
 	})
 	// Tasks never return errors, so err can only be a panic captured
@@ -122,8 +150,10 @@ func gemmBlocked(avx2 bool, c []float32, a, b *Operand, accumulate bool, workers
 //
 // Each panel and each C patch is re-sliced to exactly the extent the
 // kernel will touch, so a wrong shape panics here, in Go, instead of
-// reading out of bounds in assembly.
-func gemmTile(avx2 bool, c []float32, a, b *Operand, t, tilesN int, accumulate bool) {
+// reading out of bounds in assembly. A gemmAddAfter tile is one depth
+// block deep (gemmBlocked sends deeper ones through scratch): every
+// micro-tile runs into the stack tile from zero and is added to C.
+func gemmTile(avx2 bool, c []float32, a, b *Operand, t, tilesN int, mode gemmMode) {
 	m, k, n := a.rows, a.cols, b.cols
 	ic := (t / tilesN) * gemmMC
 	jc := (t % tilesN) * gemmNC
@@ -134,6 +164,7 @@ func gemmTile(avx2 bool, c []float32, a, b *Operand, t, tilesN int, accumulate b
 		aps = GetScratch(gemmMC * gemmKC)
 	}
 	bps := GetScratch(gemmKC * gemmNC)
+	addAfter := mode == gemmAddAfter
 	for pc := 0; pc < k; pc += gemmKC {
 		kc := min(gemmKC, k-pc)
 		apanels := aps.Data
@@ -146,7 +177,7 @@ func gemmTile(avx2 bool, c []float32, a, b *Operand, t, tilesN int, accumulate b
 		// On the first depth block of a non-accumulating GEMM the kernel
 		// starts its accumulators at zero instead of loading C, so the
 		// output needs no separate zeroing pass.
-		load := pc > 0 || accumulate
+		load := pc > 0 || mode == gemmAccumulate
 		for jr := 0; jr < nc; jr += gemmNR {
 			bp := bps.Data[jr*kc : (jr+gemmNR)*kc]
 			nr := min(gemmNR, nc-jr)
@@ -154,13 +185,14 @@ func gemmTile(avx2 bool, c []float32, a, b *Operand, t, tilesN int, accumulate b
 				ap := apanels[ir*kc : (ir+gemmMR)*kc]
 				mr := min(gemmMR, mc-ir)
 				off := (ic+ir)*n + jc + jr
-				if mr == gemmMR && nr == gemmNR {
+				if mr == gemmMR && nr == gemmNR && !addAfter {
 					gemmMicro(avx2, c[off:off+(gemmMR-1)*n+gemmNR], n, ap, bp, kc, load)
 					continue
 				}
-				// Edge of the matrix: run the full kernel into a stack
-				// tile and copy the valid part. The padding lanes of the
-				// panels only reach the rows and columns dropped here.
+				// Edge of the matrix, or an add-after tile: run the full
+				// kernel into a stack tile and copy (or add) the valid
+				// part. The padding lanes of the panels only reach the
+				// rows and columns dropped here.
 				var edge [gemmMR * gemmNR]float32
 				if load {
 					for r := 0; r < mr; r++ {
@@ -169,7 +201,14 @@ func gemmTile(avx2 bool, c []float32, a, b *Operand, t, tilesN int, accumulate b
 				}
 				gemmMicro(avx2, edge[:], gemmNR, ap, bp, kc, load)
 				for r := 0; r < mr; r++ {
-					copy(c[off+r*n:off+r*n+nr], edge[r*gemmNR:])
+					row, sum := c[off+r*n:off+r*n+nr], edge[r*gemmNR:r*gemmNR+nr]
+					if addAfter {
+						for x, v := range sum {
+							row[x] += v
+						}
+					} else {
+						copy(row, sum)
+					}
 				}
 			}
 		}

@@ -38,11 +38,29 @@ func forEachKernel(t *testing.T, fn func(t *testing.T, avx2 bool)) {
 	})
 }
 
+// modeOf is the gemmMode of GemmOp's accumulate flag.
+func modeOf(accumulate bool) gemmMode {
+	if accumulate {
+		return gemmAccumulate
+	}
+	return gemmSet
+}
+
 // gemmMats runs the blocked driver over two dense operands, the shape
 // of the plain Gemm entry point.
 func gemmMats(avx2 bool, c, a, b []float32, m, k, n int, accumulate bool, workers int) {
 	am, bm := Mat(a, m, k), Mat(b, k, n)
-	gemmBlocked(avx2, c, &am, &bm, accumulate, workers)
+	gemmBlocked(avx2, c, &am, &bm, modeOf(accumulate), workers)
+}
+
+// addAfterRef is gemmAddAfter's definition: the product gemmRef forms
+// from zero in scratch, then added to c element by element.
+func addAfterRef(c, a, b []float32, m, k, n int) {
+	s := make([]float32, m*n)
+	gemmRef(s, a, b, m, k, n, false)
+	for i, v := range s {
+		c[i] += v
+	}
 }
 
 // posInf is a variable so that hostNaN is computed by the hardware, not
@@ -152,6 +170,44 @@ func TestGemmBlockedZeroK(t *testing.T) {
 	assertBitsEqual(t, c, []float32{0, 0, 0, 0}, "k=0 overwrite")
 }
 
+// TestGemmAddAfterMatchesScratchThenAdd holds the add-after epilogue
+// to its definition, a product formed from zero in scratch and then
+// added to C, bit for bit: on edge and whole micro-tiles, at the depth
+// of one block (the epilogue) and one past it (the scratch fallback),
+// under every micro-kernel, with one worker and with tiles fanned out
+// on a shape above gemmParallelMin. A zero-depth product must leave C
+// as it was, signed zeros included.
+func TestGemmAddAfterMatchesScratchThenAdd(t *testing.T) {
+	shapes := [][3]int{
+		{1, 1, 1}, {3, 5, gemmNR - 1}, {gemmMR, 7, gemmNR}, {gemmMR + 1, 8, gemmNR + 1},
+		{gemmMC + 1, gemmKC, gemmNC + 1}, {gemmMC + 1, gemmKC + 1, gemmNC + 1}, {5, 2*gemmKC + 3, 19},
+		{2*gemmMC + 3, gemmKC, 2*gemmNC + 3}, // m·n·k above gemmParallelMin: tiles on the pool
+	}
+	forEachKernel(t, func(t *testing.T, avx2 bool) {
+		rng := rand.New(rand.NewSource(94))
+		for _, sh := range shapes {
+			m, k, n := sh[0], sh[1], sh[2]
+			a, b, c0 := make([]float32, m*k), make([]float32, k*n), make([]float32, m*n)
+			fillAdversarial(rng, a)
+			fillAdversarial(rng, b)
+			fillAdversarial(rng, c0)
+			want := append([]float32(nil), c0...)
+			addAfterRef(want, a, b, m, k, n)
+			am, bm := Mat(a, m, k), Mat(b, k, n)
+			for _, workers := range []int{1, 8} {
+				got := append([]float32(nil), c0...)
+				gemmBlocked(avx2, got, &am, &bm, gemmAddAfter, workers)
+				assertBitsEqual(t, got, want, fmt.Sprintf("add-after %dx%dx%d j%d", m, k, n, workers))
+			}
+		}
+		c := []float32{float32(math.Copysign(0, -1)), 2, hostNaN, 4}
+		want := append([]float32(nil), c...)
+		am, bm := Mat(nil, 2, 0), Mat(nil, 0, 2)
+		gemmBlocked(avx2, c, &am, &bm, gemmAddAfter, 1)
+		assertBitsEqual(t, c, want, "k=0 add-after")
+	})
+}
+
 // TestGemmNoZeroSkip guards a subtle determinism property: the kernel
 // must NOT skip zero A values (the pre-rewrite kernel did). Skipping
 // changes nothing for finite data but diverges from gemmRef when B
@@ -198,7 +254,7 @@ func TestMatMulATBAndABT(t *testing.T) {
 		for _, avx2 := range availableKernels() {
 			for _, ops := range [][2]*Operand{{&aT, &bD}, {&aD, &bT}, {&aT, &bT}} {
 				got := make([]float32, m*n)
-				gemmBlocked(avx2, got, ops[0], ops[1], false, 3)
+				gemmBlocked(avx2, got, ops[0], ops[1], gemmSet, 3)
 				assertBitsEqual(t, got, want.Data, fmt.Sprintf("transposed operands %s avx2=%v", label, avx2))
 			}
 		}
@@ -233,7 +289,7 @@ func TestPackedAMatchesPacking(t *testing.T) {
 						packed := src.PackedA()
 						for _, workers := range []int{1, 8} {
 							got := append([]float32(nil), c0...)
-							gemmBlocked(avx2, got, &packed, &bm, accumulate, workers)
+							gemmBlocked(avx2, got, &packed, &bm, modeOf(accumulate), workers)
 							assertBitsEqual(t, got, want, fmt.Sprintf("packed A %dx%dx%d accumulate=%v j%d", m, k, n, accumulate, workers))
 						}
 					}
@@ -241,7 +297,7 @@ func TestPackedAMatchesPacking(t *testing.T) {
 				// The transpose of a packed k×m operand is the m×k A.
 				flipped := Mat(at, k, m).PackedA().T()
 				got := make([]float32, m*n)
-				gemmBlocked(avx2, got, &flipped, &bm, false, 1)
+				gemmBlocked(avx2, got, &flipped, &bm, gemmSet, 1)
 				want := make([]float32, m*n)
 				gemmRef(want, a, b, m, k, n, false)
 				assertBitsEqual(t, got, want, fmt.Sprintf("T of a pack %dx%dx%d", m, k, n))

@@ -99,9 +99,20 @@ func (o Operand) T() Operand {
 // since a pack holds the same values packA would write the result is
 // bit-identical. The pack is a snapshot: it does not see later writes
 // to o's source, so the caller must build a new one when those change.
-func (o Operand) PackedA() Operand {
+func (o Operand) PackedA() Operand { return o.RepackedA(Operand{}) }
+
+// RepackedA is PackedA writing the panels into prev's, the pack of an
+// earlier version of the same weight, when they are large enough, so a
+// weight re-packed after every update keeps one buffer. prev must no
+// longer be read: its panels are overwritten.
+func (o Operand) RepackedA(prev Operand) Operand {
 	m, k := o.rows, o.cols
-	panels := make([]float32, roundUp(m, gemmMR)*k)
+	panels := prev.panels
+	if size := roundUp(m, gemmMR) * k; cap(panels) >= size {
+		panels = panels[:size]
+	} else {
+		panels = make([]float32, size)
+	}
 	for ic := 0; ic < m; ic += gemmMC {
 		mc := min(gemmMC, m-ic)
 		for pc := 0; pc < k; pc += gemmKC {

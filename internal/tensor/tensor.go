@@ -190,7 +190,23 @@ func Gemm(c, a, b []float32, m, k, n int, accumulate bool) {
 func GemmOp(c []float32, a, b Operand, accumulate bool) {
 	l := obs.StartLeaf("tensor.gemm")
 	defer l.End()
-	gemmBlocked(hasAVX2, c, &a, &b, accumulate, runtime.GOMAXPROCS(0))
+	mode := gemmSet
+	if accumulate {
+		mode = gemmAccumulate
+	}
+	gemmBlocked(hasAVX2, c, &a, &b, mode, runtime.GOMAXPROCS(0))
+}
+
+// GemmAddOp adds the product A×B, formed on its own, to c:
+// c[i,j] += Σ_p A[i,p]·B[p,j], the sum taken from zero in depth order
+// and rounded before the add. It is bit-identical to a GemmOp into
+// scratch followed by an elementwise add, and up to one depth block
+// (gemmKC) deep it needs no scratch: each micro-tile is added to c as
+// it completes (gemmAddAfter). A zero-depth product leaves c as it is.
+func GemmAddOp(c []float32, a, b Operand) {
+	l := obs.StartLeaf("tensor.gemm")
+	defer l.End()
+	gemmBlocked(hasAVX2, c, &a, &b, gemmAddAfter, runtime.GOMAXPROCS(0))
 }
 
 // gemmRef is the naive triple loop the blocked kernel is differentially
