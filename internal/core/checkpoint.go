@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -45,7 +46,8 @@ type Checkpoint struct {
 	// OptG and OptD are the generator and discriminator optimisers.
 	OptG, OptD nn.AdamState
 	// DropoutCursors are the RNG stream positions of the generator's
-	// dropout layers, in Dropouts() order.
+	// dropout layers, in Dropouts() order. A resume accepts only the
+	// positions the run determines (restoreCheckpoint).
 	DropoutCursors []int64
 	// Stats carries the completed epochs' statistics so the resumed
 	// run's TrainStats covers the whole training, not just its tail.
@@ -186,13 +188,32 @@ func (m *Model) restoreCheckpoint(c *Checkpoint, cfg TrainConfig, samples int, o
 	if ckptShards := max(c.Shards, 1); ckptShards != cfg.Parallel.Shards {
 		return 0, fmt.Errorf("%w: checkpoint used %d gradient shards, run uses %d", ErrBadCheckpoint, ckptShards, cfg.Parallel.Shards)
 	}
-	if c.NextEpoch > cfg.Epochs {
-		return 0, fmt.Errorf("%w: checkpoint completed %d epochs, run asks for only %d", ErrBadCheckpoint, c.NextEpoch, cfg.Epochs)
+	if c.NextEpoch < 0 || c.NextEpoch > cfg.Epochs {
+		return 0, fmt.Errorf("%w: checkpoint completed %d epochs, run asks for %d", ErrBadCheckpoint, c.NextEpoch, cfg.Epochs)
 	}
 	drops := m.G.Dropouts()
 	if len(c.DropoutCursors) != len(drops) {
 		return 0, fmt.Errorf("%w: checkpoint has %d dropout cursors, model has %d dropout layers",
 			ErrBadCheckpoint, len(c.DropoutCursors), len(drops))
+	}
+	// A cursor is fully determined by the run: at one shard every
+	// completed epoch drew once per activation of every sample, and at
+	// more the main model's layers never draw. SeekTo replays the
+	// stream one draw at a time, so any other value is refused before
+	// it can stall the resume.
+	for i, per := range m.G.dropoutDraws() {
+		var want int64
+		if cfg.Parallel.Shards == 1 {
+			per *= int64(samples)
+			if c.NextEpoch > 0 && per > math.MaxInt64/int64(c.NextEpoch) {
+				return 0, fmt.Errorf("%w: %d epochs of dropout draws overflow a cursor", ErrBadCheckpoint, c.NextEpoch)
+			}
+			want = int64(c.NextEpoch) * per
+		}
+		if c.DropoutCursors[i] != want {
+			return 0, fmt.Errorf("%w: dropout layer %d cursor %d, the run's is %d",
+				ErrBadCheckpoint, i, c.DropoutCursors[i], want)
+		}
 	}
 	if err := nn.Restore(c.Weights, m.allState()); err != nil {
 		return 0, err

@@ -198,3 +198,46 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 		})
 	}
 }
+
+// TestResumeRejectsForgedDropoutCursor: a run's dropout cursors are
+// fully determined (completed epochs × samples × the layer's
+// activations per sample), and any other stored value is refused with
+// ErrBadCheckpoint before SeekTo replays it — 1<<40 draws would stall
+// the resume for hours, and a negative cursor means nothing.
+func TestResumeRejectsForgedDropoutCursor(t *testing.T) {
+	cfg := tinyConfig()
+	samples := checkpointSamples(cfg.ImageSize)
+	opt := TrainConfig{Epochs: 2, BatchSize: 4, Seed: 5,
+		Checkpoint: CheckpointPolicy{Every: 2, Path: filepath.Join(t.TempDir(), "c.ckpt")}}
+	m, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Train(samples, opt); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := LoadCheckpointFile(opt.Checkpoint.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// tinyConfig's two dropout layers see 16×2×2 and 8×4×4 activations
+	// per sample.
+	if got, want := ckpt.DropoutCursors, []int64{2 * 12 * 64, 2 * 12 * 128}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("dropout cursors %v, want %v", got, want)
+	}
+	for _, layer := range []int{0, 1} {
+		for _, cursor := range []int64{1 << 40, -1} {
+			forged := *ckpt
+			forged.DropoutCursors = append([]int64(nil), ckpt.DropoutCursors...)
+			forged.DropoutCursors[layer] = cursor
+			m2, err := NewModel(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := TrainConfig{Epochs: 4, BatchSize: 4, Seed: 5, ResumeFrom: &forged}
+			if _, err := m2.Train(samples, o); !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("layer %d cursor %d resumed anyway: err = %v", layer, cursor, err)
+			}
+		}
+	}
+}

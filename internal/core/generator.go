@@ -152,6 +152,21 @@ func (g *Generator) Dropouts() []*nn.Dropout {
 	return ds
 }
 
+// dropoutDraws returns, in Dropouts order, how many random draws each
+// dropout layer makes per sample of a training forward: one per
+// activation of its decoder block, ups[j].OutC channels at
+// ImageSize >> (depth-1-j) pixels a side.
+func (g *Generator) dropoutDraws() []int64 {
+	var n []int64
+	for j, d := range g.drops {
+		if d != nil {
+			side := int64(g.cfg.ImageSize >> uint(g.cfg.depth()-1-j))
+			n = append(n, int64(g.ups[j].OutC)*side*side)
+		}
+	}
+	return n
+}
+
 // concatC concatenates along the channel axis: [N,C1,H,W] ++ [N,C2,H,W].
 func concatC(a, b *tensor.Tensor) *tensor.Tensor {
 	n, c1, h, w := a.Shape[0], a.Shape[1], a.Shape[2], a.Shape[3]

@@ -10,7 +10,6 @@ import (
 	"cachebox/internal/heatmap"
 	"cachebox/internal/nn"
 	"cachebox/internal/obs"
-	"cachebox/internal/tensor"
 )
 
 // EpochStats records the mean losses of one training epoch.
@@ -132,13 +131,9 @@ func (m *Model) trainLoop(src SampleSource, cfg TrainConfig) (*TrainStats, error
 	rng := rand.New(rand.NewSource(cfg.Seed + 7))
 	optG := nn.NewAdam(m.G.Params(), m.Cfg.LR)
 	optD := nn.NewAdam(m.D.Params(), m.Cfg.LR)
-	var sharded *shardedTrainer
-	if cfg.Parallel.Shards > 1 {
-		var err error
-		sharded, err = newShardedTrainer(m, cfg.Parallel.Shards, cfg.Parallel.Workers, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
+	tr, err := newTrainer(m, cfg.Parallel.Shards, cfg.Parallel.Workers, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
 	// stepsPerEpoch makes the optimiser-step index a pure function of
 	// (epoch, batch offset); the sharded dropout streams key off it.
@@ -150,7 +145,6 @@ func (m *Model) trainLoop(src SampleSource, cfg TrainConfig) (*TrainStats, error
 	stats := &TrainStats{}
 	startEpoch := 0
 	if cfg.ResumeFrom != nil {
-		var err error
 		startEpoch, err = m.restoreCheckpoint(cfg.ResumeFrom, cfg, n, optG, optD, stats)
 		if err != nil {
 			return nil, err
@@ -193,18 +187,10 @@ func (m *Model) trainLoop(src SampleSource, cfg TrainConfig) (*TrainStats, error
 				}
 				batch = append(batch, s)
 			}
-			var d, g, l1 float64
-			var ok bool
-			if sharded != nil {
-				step := epoch*stepsPerEpoch + lo/cfg.BatchSize
-				var err error
-				d, g, l1, ok, err = sharded.step(epochCtx, batch, step, optG, optD)
-				if err != nil {
-					epochSpan.End()
-					return nil, err
-				}
-			} else {
-				d, g, l1, ok = m.trainStep(epochCtx, batch, optG, optD)
+			d, g, l1, ok, err := tr.step(epochCtx, batch, epoch*stepsPerEpoch+lo/cfg.BatchSize, optG, optD)
+			if err != nil {
+				epochSpan.End()
+				return nil, err
 			}
 			es.Batches++
 			if !ok {
@@ -243,96 +229,6 @@ func (m *Model) trainLoop(src SampleSource, cfg TrainConfig) (*TrainStats, error
 		epochSpan.End()
 	}
 	return stats, nil
-}
-
-// trainStep performs one D update and one G update on a minibatch,
-// returning the loss components. ok is false when a non-finite loss
-// made the step unsafe (the step is skipped, as a GAN occasionally
-// spikes).
-func (m *Model) trainStep(ctx context.Context, batch []Sample, optG, optD *nn.Adam) (dLoss, gAdv, gL1 float64, ok bool) {
-	stepCtx, stepSpan := obs.Start(ctx, "train.step")
-	stepSpan.TagInt("batch", len(batch))
-	defer stepSpan.End()
-	x := m.CodecX.EncodeBatch(collectAccess(batch))
-	y := m.CodecY.EncodeBatch(collectMiss(batch))
-	p := m.paramsTensor(batch)
-
-	// Generator forward (training mode).
-	_, gFwdSpan := obs.Start(stepCtx, "train.g_forward")
-	fake := m.G.Forward(x, p, true)
-	gFwdSpan.End()
-
-	// --- Discriminator update (Pix2Pix halves each adversarial term).
-	advLoss := nn.BCEWithLogits
-	if m.Cfg.LSGAN {
-		advLoss = nn.MSELoss
-	}
-	nn.ZeroGrads(m.D.Params())
-	_, dFwdSpan := obs.Start(stepCtx, "train.d_forward")
-	logitsReal := m.D.Forward(x, y, true)
-	dFwdSpan.End()
-	ones := tensor.New(logitsReal.Shape...)
-	ones.Fill(1)
-	lossReal, dReal := advLoss(logitsReal, ones)
-	dReal.Scale(0.5)
-	_, dBwdSpan := obs.Start(stepCtx, "train.d_backward")
-	m.D.Backward(dReal)
-	dBwdSpan.End()
-
-	_, dFwdSpan2 := obs.Start(stepCtx, "train.d_forward")
-	logitsFake := m.D.Forward(x, fake.Clone(), true) // detached copy
-	dFwdSpan2.End()
-	zeros := tensor.New(logitsFake.Shape...)
-	lossFake, dFake := advLoss(logitsFake, zeros)
-	dFake.Scale(0.5)
-	_, dBwdSpan2 := obs.Start(stepCtx, "train.d_backward")
-	m.D.Backward(dFake)
-	dBwdSpan2.End()
-	dLoss = (lossReal + lossFake) / 2
-
-	if !isFinite(dLoss) {
-		nn.ZeroGrads(m.D.Params())
-		return 0, 0, 0, false
-	}
-	optD.Step()
-
-	// --- Generator update.
-	nn.ZeroGrads(m.G.Params())
-	_, dFwdSpan3 := obs.Start(stepCtx, "train.d_forward")
-	logitsG := m.D.Forward(x, fake, true)
-	dFwdSpan3.End()
-	onesG := tensor.New(logitsG.Shape...)
-	onesG.Fill(1)
-	gAdv, dLogitsG := advLoss(logitsG, onesG)
-	_, dBwdSpan3 := obs.Start(stepCtx, "train.d_backward")
-	_, dFakeFromD := m.D.Backward(dLogitsG)
-	dBwdSpan3.End()
-	// The D pass above accumulated gradients we must not apply.
-	nn.ZeroGrads(m.D.Params())
-
-	var dL1 *tensor.Tensor
-	if w := batchWeights(batch); w != nil {
-		// Representative-sampled datasets (internal/sampling) weight
-		// each window by the share of its cluster; only the L1
-		// reconstruction term is weighted — the adversarial terms keep
-		// judging every sample equally.
-		gL1, dL1 = nn.WeightedL1Loss(fake, y, w)
-	} else {
-		gL1, dL1 = nn.L1Loss(fake, y)
-	}
-	dFakeTotal := dFakeFromD
-	dL1.Scale(float32(m.Cfg.Lambda))
-	dFakeTotal.AddInPlace(dL1)
-
-	if !isFinite(gAdv) || !isFinite(gL1) || !dFakeTotal.IsFinite() {
-		nn.ZeroGrads(m.G.Params())
-		return 0, 0, 0, false
-	}
-	_, gBwdSpan := obs.Start(stepCtx, "train.g_backward")
-	m.G.Backward(dFakeTotal)
-	gBwdSpan.End()
-	optG.Step()
-	return dLoss, gAdv, gL1, true
 }
 
 func isFinite(f float64) bool { return f == f && f < 1e30 && f > -1e30 }

@@ -3,11 +3,11 @@ package core
 import "testing"
 
 // benchTrainEpoch is a quick look at one full epoch over a fixed toy
-// dataset, through the serial loop and through the sharded trainer at
-// several worker counts, reported as samples/s (BENCH_PR10.json is the
-// frozen record of it). On a single-core machine the sharded path pays
-// its fan-out overhead without any parallel win. Claims about training
-// throughput come from bench/'s train-epoch workload, not from here.
+// dataset, at one shard and at four shards on several worker counts,
+// reported as samples/s (BENCH_PR10.json is the frozen record of it).
+// On a single-core machine four shards pay their fan-out overhead
+// without any parallel win. Claims about training throughput come from
+// bench/'s train-epoch workload, not from here.
 func benchTrainEpoch(b *testing.B, shards, workers int) {
 	samples := shardedSamples(16)
 	cfg := TrainConfig{Epochs: 1, BatchSize: 7, Seed: 9,

@@ -10,10 +10,12 @@ import (
 	"cachebox/internal/tensor"
 )
 
-// shardedTrainer runs each optimiser step as a fixed number of
-// gradient shards executed on an internal/par pool. The design follows
-// the repository's commit discipline (PR 4/PR 9): shard boundaries and
-// all floating-point reduction orders are functions of the shard count
+// trainer runs every optimiser step of CB-GAN's adversarial loop
+// (paper Fig. 6, Eq. 1–2): one D update, then one G update, on each
+// batch. The batch is split into a fixed number of gradient shards
+// executed on an internal/par pool. The design follows the
+// repository's commit discipline (PR 4/PR 9): shard boundaries and all
+// floating-point reduction orders are functions of the shard count
 // alone, workers only decide which goroutine computes a shard, so the
 // trained model is byte-identical at any worker count.
 //
@@ -27,7 +29,7 @@ import (
 // param too: the trainer packs each one once per weight version, before
 // the phase that reads it, and every replica reads that one pack.
 //
-// Per-step flow (mirroring the serial trainStep's two updates):
+// Per-step flow:
 //
 //	pack G and D conv weights, W and Wᵀ, where stale (all cores)
 //	phase D (parallel): encode shard, G forward, D real+fake
@@ -43,14 +45,17 @@ import (
 // element ranges (nn.ForEachRange) with the bytes of a serial pass, and
 // a pack holds exactly the values the GEMM would gather per tile.
 //
-// Dropout masks cannot come from the serial per-layer RNG streams (a
-// shard would need to know how many draws earlier shards made), so
-// each replica's dropout layers are reseeded per step from
+// Dropout masks cannot come from the per-layer RNG streams (a shard
+// would need to know how many draws earlier shards made), so each
+// replica's dropout layers are reseeded per step from
 // mix64(seed, step, shard, layer) — a pure function of the step
 // coordinates that is worker-count-independent and O(1) to restore on
-// resume. The main model's dropout cursors are unused in sharded mode
-// and checkpoint as zero.
-type shardedTrainer struct {
+// resume. The main model's dropout cursors are unused at more than one
+// shard and checkpoint as zero.
+//
+// At one shard the single replica is the main model itself (solo), the
+// pool is one wide and the phases run inline.
+type trainer struct {
 	m      *Model
 	shards int
 	pool   par.Pool
@@ -90,16 +95,16 @@ type trainReplica struct {
 	finite           bool
 }
 
-// newShardedTrainer builds one replica per shard. workers <= 0 selects
-// min(shards, GOMAXPROCS).
-func newShardedTrainer(m *Model, shards, workers int, seed int64) (*shardedTrainer, error) {
-	if shards < 2 {
-		return nil, fmt.Errorf("core: sharded trainer needs >= 2 shards, got %d", shards)
+// newTrainer builds one replica per shard; at one shard the replica is
+// m itself. workers <= 0 selects one worker per shard.
+func newTrainer(m *Model, shards, workers int, seed int64) (*trainer, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("core: trainer needs >= 1 shard, got %d", shards)
 	}
 	if workers <= 0 || workers > shards {
 		workers = shards
 	}
-	t := &shardedTrainer{
+	t := &trainer{
 		m:      m,
 		shards: shards,
 		pool:   par.New(workers),
@@ -112,6 +117,10 @@ func newShardedTrainer(m *Model, shards, workers int, seed int64) (*shardedTrain
 	t.convD = t.convs[len(t.convs)-len(dConvs):]
 	t.mainState = append(t.mainState, m.G.State()...)
 	t.mainState = append(t.mainState, m.D.State()...)
+	if shards == 1 {
+		t.reps = []*trainReplica{{m: m, gParams: t.mainG, dParams: t.mainD}}
+		return t, nil
+	}
 	for s := 0; s < shards; s++ {
 		rm, err := NewModel(m.Cfg)
 		if err != nil {
@@ -139,6 +148,16 @@ func newShardedTrainer(m *Model, shards, workers int, seed int64) (*shardedTrain
 	}
 	return t, nil
 }
+
+// solo reports whether the one replica is the main model itself (one
+// shard). Each phase that only keeps replicas apart is then skipped,
+// and each skip keeps the bytes: no Share and no gradient reduction
+// (the replica's grads are the main grads; a clear-then-add would zero
+// them), no batch-norm sync or commit (its running statistics are the
+// main ones), no dropout reseed (its layers keep their seeded streams,
+// which checkpoints record as cursors) and no pack ahead (one forward
+// and one backward per weight version do not pay for a pack).
+func (t *trainer) solo() bool { return t.reps[0].m == t.m }
 
 // aliasParams makes each replica parameter share the main model's
 // (nn.Param.Share), so the replica reads the one set of weights the
@@ -184,7 +203,7 @@ func dropoutSeed(seed int64, step, shard, layer int) int64 {
 // shardRanges splits n samples into the trainer's shards: contiguous,
 // near-equal, the first n%shards shards one larger. The split depends
 // only on (n, shards), never on workers.
-func (t *shardedTrainer) shardRanges(n int) [][2]int {
+func (t *trainer) shardRanges(n int) [][2]int {
 	out := make([][2]int, t.shards)
 	base, rem := n/t.shards, n%t.shards
 	lo := 0
@@ -199,15 +218,16 @@ func (t *shardedTrainer) shardRanges(n int) [][2]int {
 	return out
 }
 
-// step runs one sharded optimiser step. Losses are the shard-weighted
-// means (weight = shard samples / batch samples), which reproduces the
-// whole-batch mean for both the loss scalars and the reduced
-// gradients. ok follows the serial trainStep's skip semantics: a
+// step runs one optimiser step, step being its index in the run.
+// Losses are the shard-weighted means (weight = shard samples / batch
+// samples), which reproduces the whole-batch mean for both the loss
+// scalars and the reduced gradients. ok is false when a non-finite
+// loss made the step unsafe, as a GAN occasionally spikes: a
 // non-finite D phase skips the whole step before optD runs; a
 // non-finite G phase skips only the G update (D already stepped). err
-// reports infrastructure failures (a panicking shard), which abort
-// training.
-func (t *shardedTrainer) step(ctx context.Context, batch []Sample, step int, optG, optD *nn.Adam) (dLoss, gAdv, gL1 float64, ok bool, err error) {
+// reports infrastructure failures (a panicking shard, as a
+// *par.PanicError), which abort training.
+func (t *trainer) step(ctx context.Context, batch []Sample, step int, optG, optD *nn.Adam) (dLoss, gAdv, gL1 float64, ok bool, err error) {
 	stepCtx, stepSpan := obs.Start(ctx, "train.step")
 	stepSpan.TagInt("batch", len(batch))
 	stepSpan.TagInt("shards", t.shards)
@@ -228,60 +248,73 @@ func (t *shardedTrainer) step(ctx context.Context, batch []Sample, step int, opt
 		advLoss = nn.MSELoss
 	}
 
-	// --- Phase D (parallel): per-shard G forward + D real/fake update.
+	// --- Phase D (parallel): per-shard G forward + D real/fake update
+	// (Pix2Pix halves each adversarial term).
 	if err := t.packWeights(stepCtx, t.convs); err != nil {
 		return 0, 0, 0, false, err
 	}
-	err = t.pool.Run(stepCtx, len(active), func(_ context.Context, i int) error {
+	err = t.pool.Run(stepCtx, len(active), func(ctx context.Context, i int) error {
 		s := active[i]
 		rep, r := t.reps[s], ranges[s]
 		sub := batch[r[0]:r[1]]
 		rep.weight = float64(len(sub)) / float64(len(batch))
-		// Replicas start each step from the main model's running
-		// statistics, so the committed momentum updates chain exactly
-		// like a serial run's.
-		for j, st := range rep.state {
-			copy(st.Value.Data, t.mainState[j].Value.Data)
-		}
-		for li, d := range rep.drops {
-			d.Reseed(dropoutSeed(t.seed, step, s, li))
+		if !t.solo() {
+			// Replicas start each step from the main model's running
+			// statistics, so the committed momentum updates chain
+			// exactly like a one-shard run's.
+			for j, st := range rep.state {
+				copy(st.Value.Data, t.mainState[j].Value.Data)
+			}
+			for li, d := range rep.drops {
+				d.Reseed(dropoutSeed(t.seed, step, s, li))
+			}
 		}
 		rep.x = rep.m.CodecX.EncodeBatch(collectAccess(sub))
 		rep.y = rep.m.CodecY.EncodeBatch(collectMiss(sub))
 		rep.p = rep.m.paramsTensor(sub)
+		_, sp := obs.Start(ctx, "train.g_forward")
 		rep.fake = rep.m.G.Forward(rep.x, rep.p, true)
+		sp.End()
 
 		nn.ZeroGrads(rep.dParams)
+		_, sp = obs.Start(ctx, "train.d_forward")
 		logitsReal := rep.m.D.Forward(rep.x, rep.y, true)
+		sp.End()
 		ones := tensor.New(logitsReal.Shape...)
 		ones.Fill(1)
 		lossReal, dReal := advLoss(logitsReal, ones)
 		dReal.Scale(0.5)
+		_, sp = obs.Start(ctx, "train.d_backward")
 		rep.m.D.Backward(dReal)
+		sp.End()
 
+		_, sp = obs.Start(ctx, "train.d_forward")
 		logitsFake := rep.m.D.Forward(rep.x, rep.fake.Clone(), true) // detached copy
+		sp.End()
 		zeros := tensor.New(logitsFake.Shape...)
 		lossFake, dFake := advLoss(logitsFake, zeros)
 		dFake.Scale(0.5)
+		_, sp = obs.Start(ctx, "train.d_backward")
 		rep.m.D.Backward(dFake)
+		sp.End()
 		rep.dLoss = (lossReal + lossFake) / 2
 		rep.finite = isFinite(rep.dLoss)
 		return nil
 	})
 	if err != nil {
-		return 0, 0, 0, false, fmt.Errorf("core: sharded D phase: %w", err)
+		return 0, 0, 0, false, fmt.Errorf("core: training D phase: %w", err)
 	}
 
 	ok = true
 	for _, s := range active {
 		rep := t.reps[s]
-		dLoss += rep.weight * rep.dLoss
+		dLoss += float64(rep.weight * rep.dLoss)
 		ok = ok && rep.finite
 	}
 	if !ok || !isFinite(dLoss) {
-		// Mirror the serial skip: no D step, no G phase. The forwards
-		// that did run still advanced the replicas' running statistics,
-		// exactly as a serial skipped step advances the model's.
+		// Skip: no D step, no G phase. The forwards that did run still
+		// advanced the running statistics, and the commit carries the
+		// replicas' advance to the main model.
 		t.commitState(active)
 		return 0, 0, 0, false, nil
 	}
@@ -294,23 +327,31 @@ func (t *shardedTrainer) step(ctx context.Context, batch []Sample, step int, opt
 	if err := t.packWeights(stepCtx, t.convD); err != nil {
 		return 0, 0, 0, false, err
 	}
-	err = t.pool.Run(stepCtx, len(active), func(_ context.Context, i int) error {
+	err = t.pool.Run(stepCtx, len(active), func(ctx context.Context, i int) error {
 		s := active[i]
 		rep, r := t.reps[s], ranges[s]
 		sub := batch[r[0]:r[1]]
 		nn.ZeroGrads(rep.gParams)
 		nn.ZeroGrads(rep.dParams)
+		_, sp := obs.Start(ctx, "train.d_forward")
 		logitsG := rep.m.D.Forward(rep.x, rep.fake, true)
+		sp.End()
 		onesG := tensor.New(logitsG.Shape...)
 		onesG.Fill(1)
 		gAdvS, dLogitsG := advLoss(logitsG, onesG)
+		_, sp = obs.Start(ctx, "train.d_backward")
 		_, dFakeFromD := rep.m.D.Backward(dLogitsG)
+		sp.End()
 		// The D pass above accumulated gradients we must not apply.
 		nn.ZeroGrads(rep.dParams)
 
 		var gL1S float64
 		var dL1 *tensor.Tensor
 		if w := batchWeights(sub); w != nil {
+			// Representative-sampled datasets (internal/sampling)
+			// weight each window by the share of its cluster; only the
+			// L1 reconstruction term is weighted — the adversarial
+			// terms keep judging every sample equally.
 			gL1S, dL1 = nn.WeightedL1Loss(rep.fake, rep.y, w)
 		} else {
 			gL1S, dL1 = nn.L1Loss(rep.fake, rep.y)
@@ -321,23 +362,25 @@ func (t *shardedTrainer) step(ctx context.Context, batch []Sample, step int, opt
 		rep.gAdv, rep.gL1 = gAdvS, gL1S
 		rep.finite = isFinite(gAdvS) && isFinite(gL1S) && dFakeTotal.IsFinite()
 		if rep.finite {
+			_, sp = obs.Start(ctx, "train.g_backward")
 			rep.m.G.Backward(dFakeTotal)
+			sp.End()
 		}
 		return nil
 	})
 	if err != nil {
-		return 0, 0, 0, false, fmt.Errorf("core: sharded G phase: %w", err)
+		return 0, 0, 0, false, fmt.Errorf("core: training G phase: %w", err)
 	}
 
 	ok = true
 	for _, s := range active {
 		rep := t.reps[s]
-		gAdv += rep.weight * rep.gAdv
-		gL1 += rep.weight * rep.gL1
+		gAdv += float64(rep.weight * rep.gAdv)
+		gL1 += float64(rep.weight * rep.gL1)
 		ok = ok && rep.finite
 	}
 	if !ok || !isFinite(gAdv) || !isFinite(gL1) {
-		// Mirror the serial skip: D already stepped, G does not.
+		// Skip the G update only: D already stepped.
 		t.commitState(active)
 		return 0, 0, 0, false, nil
 	}
@@ -350,8 +393,12 @@ func (t *shardedTrainer) step(ctx context.Context, batch []Sample, step int, opt
 // packWeights brings the packs of the conv weights ws up to their
 // current versions, one weight per task on the trainer's pool, so the
 // next phase's replicas read packed weights instead of packing them
-// per tile. A pack that is current is left alone.
-func (t *shardedTrainer) packWeights(ctx context.Context, ws []*nn.Param) error {
+// per tile. A pack that is current is left alone. A solo trainer packs
+// nothing: its layers pack per tile as they run.
+func (t *trainer) packWeights(ctx context.Context, ws []*nn.Param) error {
+	if t.solo() {
+		return nil
+	}
 	err := t.pool.Run(ctx, len(ws), func(_ context.Context, i int) error {
 		ws[i].PackForms()
 		return nil
@@ -369,8 +416,13 @@ func (t *shardedTrainer) packWeights(ctx context.Context, ws []*nn.Param) error 
 // gradient; the fixed order makes the float32 rounding deterministic.
 // Each element's sum is independent of every other's, so element
 // ranges run on the trainer's pool. The product is rounded before its
-// add (float32(…)), so no architecture may fuse the two.
-func (t *shardedTrainer) reduceGrads(mains []*nn.Param, active []int, grads func(*trainReplica) []*nn.Param) {
+// add (float32(…)), so no architecture may fuse the two. A solo
+// replica's grads are the main grads already (clearing them here would
+// zero them).
+func (t *trainer) reduceGrads(mains []*nn.Param, active []int, grads func(*trainReplica) []*nn.Param) {
+	if t.solo() {
+		return
+	}
 	nn.ForEachRange(mains, t.pool.Workers(), func(j, lo, hi int) {
 		dst := mains[j].Grad.Data[lo:hi]
 		clear(dst)
@@ -388,17 +440,19 @@ func (t *shardedTrainer) reduceGrads(mains []*nn.Param, active []int, grads func
 // into the main model as the shard-weighted mean, in shard-index
 // order. Each replica started the step from the main model's values,
 // so the commit is exactly one momentum update over the shard-weighted
-// batch statistics — and reduces to the serial update at one shard.
-func (t *shardedTrainer) commitState(active []int) {
+// batch statistics. A solo replica updated the main statistics in
+// place. The product is rounded before its add, as in reduceGrads.
+func (t *trainer) commitState(active []int) {
+	if t.solo() {
+		return
+	}
 	for j, mainSt := range t.mainState {
 		dst := mainSt.Value.Data
-		for k := range dst {
-			dst[k] = 0
-		}
+		clear(dst)
 		for _, s := range active {
 			w := float32(t.reps[s].weight)
 			for k, v := range t.reps[s].state[j].Value.Data {
-				dst[k] += w * v
+				dst[k] += float32(w * v)
 			}
 		}
 	}

@@ -105,13 +105,14 @@ type CheckpointPolicy struct {
 // gradients are reduced in strict shard-index order, so the result
 // depends only on Shards — never on Workers or goroutine scheduling.
 type Parallelism struct {
-	// Shards is the fixed number of gradient shards per batch. 0 or 1
-	// selects the classic serial step. Shards is part of the training
+	// Shards is the fixed number of gradient shards per batch; 0 means
+	// 1, where the one replica is the model itself and the step runs
+	// inline on the calling goroutine. Shards is part of the training
 	// recipe (it changes the dropout-stream layout and float reduction
 	// order), so checkpoints record and validate it.
 	Shards int `json:"shards,omitempty"`
 	// Workers caps the goroutines running shards concurrently. 0 means
-	// min(Shards, GOMAXPROCS); 1 runs shards serially — byte-identical
+	// one per shard; 1 runs shards serially — byte-identical
 	// to any other worker count, which the golden j1-vs-j8 test pins.
 	Workers int `json:"workers,omitempty"`
 }

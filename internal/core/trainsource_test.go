@@ -118,7 +118,7 @@ func TestWeightedL1LossScalesPerSample(t *testing.T) {
 	}
 }
 
-// Weighted samples flow through trainStep without breaking training.
+// Weighted samples flow through the training step without breaking training.
 func TestTrainWithWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	samples := makeToySamples(8, rng, 16)
