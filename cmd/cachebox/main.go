@@ -1,28 +1,28 @@
-// Command cachebox is the CacheBox-Go CLI: it generates synthetic
-// benchmark traces, simulates caches over them, renders heatmaps,
-// trains CB-GAN models, runs inference and evaluates predictions.
-//
-// Usage:
-//
-//	cachebox <subcommand> [flags]
-//
-// Subcommands:
+// Command cachebox is the CacheBox-Go CLI for the paper's toolflow,
+// `cachebox <command> [flags]`, exiting 0 on success, 1 on failure and
+// 2 on a usage error:
 //
 //	list      list the available synthetic benchmarks
 //	trace     generate a benchmark's trace (binary format) to a file
 //	simulate  run a trace (or benchmark) through a cache and print stats
 //	heatmap   render a benchmark's access/miss heatmaps to PNG files
+//	phases    SimPoint-style phase analysis of a benchmark or trace
 //	train     train a CB-GAN on a suite and save the model
 //	evaluate  evaluate a trained model on held-out benchmarks
-//	phases    SimPoint-style phase analysis of a benchmark or trace
+//	baseline  stats|reuse|predict: trace statistics and baseline predictors
+//	store     ls|info|cat|put|verify|gc|rm: the content-addressed artifact store
+//	dataset   build|ls|stat|verify: sharded streaming training datasets
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log"
+	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"cachebox"
@@ -30,118 +30,191 @@ import (
 	"cachebox/internal/obs"
 	"cachebox/internal/simpoint"
 	"cachebox/internal/trace"
-	"cachebox/internal/traind"
 	"cachebox/internal/workload"
 )
+
+const usage = `usage: cachebox <command> [flags]
+commands: list, trace, simulate, heatmap, phases, train, evaluate,
+  baseline <stats|reuse|predict>, store [-store DIR] <ls|info|cat|put|verify|gc|rm>,
+  dataset [-store DIR] <build|ls|stat|verify>
+run "cachebox <command> -h" for its flags`
+
+var commands = map[string]func(*cli, []string) error{
+	"list": (*cli).list, "trace": (*cli).trace, "simulate": (*cli).simulate,
+	"heatmap": (*cli).heatmap, "phases": (*cli).phases, "train": (*cli).train,
+	"evaluate": (*cli).evaluate, "baseline": (*cli).baseline,
+	"store": (*cli).store, "dataset": (*cli).dataset,
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// usageError is exit code 2. An empty one was already reported by the
+// flag package.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// run dispatches one command line and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	c := &cli{w: stdout, stderr: stderr}
+	errs := log.New(stderr, "", 0)
+	var err error
+	switch {
+	case len(args) == 0:
+		err = usageError(usage)
+	case args[0] == "-h" || args[0] == "--help" || args[0] == "help":
+		errs.Print(usage)
+		return 0
+	case commands[args[0]] == nil:
+		err = usageError(fmt.Sprintf("unknown command %q\n%s", args[0], usage))
+	default:
+		err = commands[args[0]](c, args[1:])
+	}
+	if err == nil {
+		err = c.err
+	}
+	var ue usageError
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &ue):
+		if ue != "" {
+			errs.Print("cachebox: ", ue)
+		}
+		return 2
+	}
+	errs.Print("cachebox: ", err)
+	return 1
+}
+
+// cli is one invocation. Its stdout keeps the first write error, so
+// commands print without checking every line and run reports it once.
+type cli struct {
+	w      io.Writer
+	err    error
+	stderr io.Writer
+}
+
+func (c *cli) Write(p []byte) (int, error) {
+	if c.err != nil {
+		return 0, c.err
+	}
+	var n int
+	n, c.err = c.w.Write(p)
+	return n, c.err
+}
+
+func (c *cli) printf(format string, args ...any) {
+	if c.err == nil {
+		_, c.err = fmt.Fprintf(c.w, format, args...)
+	}
+}
+
+// flags returns a flag set reporting to the invocation's stderr.
+func (c *cli) flags(name string) *flag.FlagSet {
+	fs := flag.NewFlagSet("cachebox "+name, flag.ContinueOnError)
+	fs.SetOutput(c.stderr)
+	return fs
+}
+
+// parse parses args into fs; the flag package reports a bad flag.
+func parse(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return usageError("")
+	}
+	return err
+}
+
+// suiteFlags adds -ops and -suite-scale to fs and returns a function
+// that builds every benchmark at their values.
+func suiteFlags(fs *flag.FlagSet) func() []workload.Benchmark {
+	ops := fs.Int("ops", 120000, "accesses per benchmark")
+	scale := fs.Float64("suite-scale", 0.25, "problem-size scale for the ligra/poly suites")
+	return func() []workload.Benchmark {
+		return cachebox.FlattenSuites(cachebox.AllSuites(20, 2, *ops, *scale))
+	}
+}
+
+// parseCaches parses a comma-separated list of "64set-12way" geometries.
+func parseCaches(spec string) ([]cachesim.Config, error) {
+	var cfgs []cachesim.Config
+	for _, s := range strings.Split(spec, ",") {
+		cfg, err := cachesim.ParseConfig(strings.TrimSpace(s))
+		if err != nil {
+			return nil, err
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs, nil
+}
+
+// benchOrTrace loads the -trace file or else the -bench benchmark.
+func benchOrTrace(path, name string, benches func() []workload.Benchmark) (*trace.Trace, error) {
+	switch {
+	case path != "":
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		//lint:ignore unchecked-error read-only file; a Close failure cannot lose data
+		defer f.Close()
+		return trace.ReadBinary(f)
+	case name != "":
+		b, err := workload.ByName(benches(), name)
+		if err != nil {
+			return nil, err
+		}
+		return b.Trace(), nil
+	}
+	return nil, usageError("need -bench or -trace")
+}
 
 // traceToFile installs a span collector when path is non-empty and
 // returns a flush function for the caller to defer: it writes the
 // Chrome trace-event file (viewable in chrome://tracing or Perfetto)
 // and surfaces the write error if the command itself succeeded.
-func traceToFile(path string, err *error) func() {
+func (c *cli) traceToFile(path string, err *error) func() {
 	if path == "" {
 		return func() {}
 	}
-	c := obs.NewCollector(obs.Options{Trace: true})
-	obs.Install(c)
+	col := obs.NewCollector(obs.Options{Trace: true})
+	obs.Install(col)
 	return func() {
 		obs.Install(nil)
-		if werr := c.WriteFile(path); werr != nil {
+		if werr := col.WriteFile(path); werr != nil {
 			if *err == nil {
 				*err = werr
 			}
 			return
 		}
-		fmt.Printf("wrote %d trace events to %s\n", c.EventCount(), path)
+		c.printf("wrote %d trace events to %s\n", col.EventCount(), path)
 	}
 }
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "list":
-		err = cmdList(os.Args[2:])
-	case "trace":
-		err = cmdTrace(os.Args[2:])
-	case "simulate":
-		err = cmdSimulate(os.Args[2:])
-	case "heatmap":
-		err = cmdHeatmap(os.Args[2:])
-	case "train":
-		err = cmdTrain(os.Args[2:])
-	case "evaluate":
-		err = cmdEvaluate(os.Args[2:])
-	case "phases":
-		err = cmdPhases(os.Args[2:])
-	case "-h", "--help", "help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "cachebox: unknown subcommand %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cachebox:", err)
-		os.Exit(1)
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: cachebox <list|trace|simulate|heatmap|train|evaluate|phases> [flags]
-run "cachebox <subcommand> -h" for per-subcommand flags`)
-}
-
-// allBenches builds every suite at the given budget.
-func allBenches(ops int, scale float64) []workload.Benchmark {
-	return cachebox.FlattenSuites(cachebox.AllSuites(20, 2, ops, scale))
-}
-
-// parseCacheConfig parses "64set-12way" notation.
-func parseCacheConfig(s string) (cachesim.Config, error) {
-	var cfg cachesim.Config
-	parts := strings.Split(s, "-")
-	if len(parts) != 2 || !strings.HasSuffix(parts[0], "set") || !strings.HasSuffix(parts[1], "way") {
-		return cfg, fmt.Errorf("cache config %q: want e.g. 64set-12way", s)
-	}
-	sets, err := strconv.Atoi(strings.TrimSuffix(parts[0], "set"))
-	if err != nil {
-		return cfg, fmt.Errorf("cache config %q: %v", s, err)
-	}
-	ways, err := strconv.Atoi(strings.TrimSuffix(parts[1], "way"))
-	if err != nil {
-		return cfg, fmt.Errorf("cache config %q: %v", s, err)
-	}
-	cfg = cachesim.Config{Sets: sets, Ways: ways}
-	return cfg, cfg.Validate()
-}
-
-func cmdList(args []string) error {
-	fs := flag.NewFlagSet("list", flag.ExitOnError)
-	ops := fs.Int("ops", 120000, "accesses per benchmark")
-	scale := fs.Float64("suite-scale", 0.25, "problem-size scale for ligra/poly suites")
-	if err := fs.Parse(args); err != nil {
+func (c *cli) list(args []string) error {
+	fs := c.flags("list")
+	benches := suiteFlags(fs)
+	if err := parse(fs, args); err != nil {
 		return err
 	}
-	for _, b := range allBenches(*ops, *scale) {
-		fmt.Printf("%-36s suite=%-10s group=%s\n", b.Name, b.Suite, b.Group)
+	for _, b := range benches() {
+		c.printf("%-36s suite=%-10s group=%s\n", b.Name, b.Suite, b.Group)
 	}
 	return nil
 }
 
-func cmdTrace(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+func (c *cli) trace(args []string) error {
+	fs := c.flags("trace")
 	name := fs.String("bench", "", "benchmark name (see: cachebox list)")
 	out := fs.String("o", "", "output file (default <bench>.cbxt)")
-	ops := fs.Int("ops", 120000, "accesses per benchmark")
-	scale := fs.Float64("suite-scale", 0.25, "problem-size scale")
-	if err := fs.Parse(args); err != nil {
+	benches := suiteFlags(fs)
+	if err := parse(fs, args); err != nil {
 		return err
 	}
-	b, err := workload.ByName(allBenches(*ops, *scale), *name)
+	b, err := workload.ByName(benches(), *name)
 	if err != nil {
 		return err
 	}
@@ -159,114 +232,86 @@ func cmdTrace(args []string) error {
 	if err := trace.WriteBinary(f, tr); err != nil {
 		return err
 	}
-	st := trace.Summarize(tr, 64)
-	fmt.Printf("wrote %s: %s\n", path, st)
+	c.printf("wrote %s: %s\n", path, trace.Summarize(tr, 64))
 	return f.Close()
 }
 
-func cmdSimulate(args []string) error {
-	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
+func (c *cli) simulate(args []string) error {
+	fs := c.flags("simulate")
 	name := fs.String("bench", "", "benchmark name")
 	traceFile := fs.String("trace", "", "binary trace file (alternative to -bench)")
 	cfgStr := fs.String("cache", "64set-12way", "cache geometry")
 	levels := fs.String("hierarchy", "", "comma-separated level list, e.g. 64set-12way,1024set-8way,2048set-16way")
 	policy := fs.String("policy", "lru", "replacement policy: lru, fifo, random, tree-plru, srrip, drrip")
 	prefetch := fs.String("prefetch", "", "prefetcher: '', next-line, stride")
-	ops := fs.Int("ops", 120000, "accesses per benchmark")
-	scale := fs.Float64("suite-scale", 0.25, "problem-size scale")
-	if err := fs.Parse(args); err != nil {
+	benches := suiteFlags(fs)
+	if err := parse(fs, args); err != nil {
 		return err
 	}
-
-	var tr *trace.Trace
-	switch {
-	case *traceFile != "":
-		f, err := os.Open(*traceFile)
-		if err != nil {
-			return err
-		}
-		//lint:ignore unchecked-error read-only file; a Close failure cannot lose data
-		defer f.Close()
-		tr, err = trace.ReadBinary(f)
-		if err != nil {
-			return err
-		}
-	case *name != "":
-		b, err := workload.ByName(allBenches(*ops, *scale), *name)
-		if err != nil {
-			return err
-		}
-		tr = b.Trace()
-	default:
-		return fmt.Errorf("simulate: need -bench or -trace")
+	tr, err := benchOrTrace(*traceFile, *name, benches)
+	if err != nil {
+		return err
 	}
-
 	pol, ok := cachesim.ParsePolicy(*policy)
 	if !ok {
 		return fmt.Errorf("unknown policy %q", *policy)
 	}
 	if *levels != "" {
-		var cfgs []cachesim.Config
-		for _, s := range strings.Split(*levels, ",") {
-			cfg, err := parseCacheConfig(strings.TrimSpace(s))
-			if err != nil {
-				return err
-			}
-			cfg.Policy = pol
-			cfgs = append(cfgs, cfg)
+		cfgs, err := parseCaches(*levels)
+		if err != nil {
+			return err
+		}
+		for i := range cfgs {
+			cfgs[i].Policy = pol
 		}
 		h, err := cachesim.NewHierarchy(cfgs...)
 		if err != nil {
 			return err
 		}
 		for i, lt := range cachesim.RunHierarchy(h, tr) {
-			fmt.Printf("L%d %-18s accesses=%-9d hits=%-9d misses=%-9d hit-rate=%.4f\n",
+			c.printf("L%d %-18s accesses=%-9d hits=%-9d misses=%-9d hit-rate=%.4f\n",
 				i+1, lt.Config, lt.Stats.Accesses, lt.Stats.Hits, lt.Stats.Misses, lt.HitRate())
 		}
 		return nil
 	}
-	cfg, err := parseCacheConfig(*cfgStr)
+	cfg, err := cachesim.ParseConfig(*cfgStr)
 	if err != nil {
 		return err
 	}
 	cfg.Policy = pol
-	c := cachesim.New(cfg)
-	switch *prefetch {
-	case "next-line":
-		c.Prefetcher = &cachesim.NextLinePrefetcher{}
-	case "stride":
-		c.Prefetcher = &cachesim.StridePrefetcher{}
-	case "":
-	default:
+	sim := cachesim.New(cfg)
+	prefetchers := map[string]cachesim.Prefetcher{
+		"": nil, "next-line": &cachesim.NextLinePrefetcher{}, "stride": &cachesim.StridePrefetcher{},
+	}
+	if sim.Prefetcher, ok = prefetchers[*prefetch]; !ok {
 		return fmt.Errorf("unknown prefetcher %q", *prefetch)
 	}
-	lt := cachesim.RunTrace(c, tr)
+	lt := cachesim.RunTrace(sim, tr)
 	s := lt.Stats
-	fmt.Printf("%s policy=%s accesses=%d hits=%d misses=%d hit-rate=%.4f writebacks=%d",
+	c.printf("%s policy=%s accesses=%d hits=%d misses=%d hit-rate=%.4f writebacks=%d",
 		cfg, pol, s.Accesses, s.Hits, s.Misses, lt.HitRate(), s.Writebacks)
-	if c.Prefetcher != nil {
-		fmt.Printf(" prefetch-fills=%d prefetch-hits=%d", s.PrefetchFill, s.PrefetchHit)
+	if sim.Prefetcher != nil {
+		c.printf(" prefetch-fills=%d prefetch-hits=%d", s.PrefetchFill, s.PrefetchHit)
 	}
-	fmt.Println()
+	c.printf("\n")
 	return nil
 }
 
-func cmdHeatmap(args []string) error {
-	fs := flag.NewFlagSet("heatmap", flag.ExitOnError)
+func (c *cli) heatmap(args []string) error {
+	fs := c.flags("heatmap")
 	name := fs.String("bench", "", "benchmark name")
 	cfgStr := fs.String("cache", "64set-12way", "cache geometry")
 	outDir := fs.String("o", "heatmaps", "output directory")
 	count := fs.Int("n", 2, "number of heatmap pairs to render")
-	ops := fs.Int("ops", 120000, "accesses per benchmark")
-	scale := fs.Float64("suite-scale", 0.25, "problem-size scale")
-	if err := fs.Parse(args); err != nil {
+	benches := suiteFlags(fs)
+	if err := parse(fs, args); err != nil {
 		return err
 	}
-	b, err := workload.ByName(allBenches(*ops, *scale), *name)
+	b, err := workload.ByName(benches(), *name)
 	if err != nil {
 		return err
 	}
-	cfg, err := parseCacheConfig(*cfgStr)
+	cfg, err := cachesim.ParseConfig(*cfgStr)
 	if err != nil {
 		return err
 	}
@@ -278,10 +323,7 @@ func cmdHeatmap(args []string) error {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return err
 	}
-	if *count > len(pairs) {
-		*count = len(pairs)
-	}
-	for i := 0; i < *count; i++ {
+	for i := 0; i < *count && i < len(pairs); i++ {
 		ap := filepath.Join(*outDir, fmt.Sprintf("access-%d.png", i))
 		mp := filepath.Join(*outDir, fmt.Sprintf("miss-%d.png", i))
 		if err := cachebox.WriteHeatmapPNG(ap, pairs[i].Access); err != nil {
@@ -290,295 +332,26 @@ func cmdHeatmap(args []string) error {
 		if err := cachebox.WriteHeatmapPNG(mp, pairs[i].Miss); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s and %s\n", ap, mp)
+		c.printf("wrote %s and %s\n", ap, mp)
 	}
-	fmt.Printf("%s on %s: true hit rate %.4f, %d pairs total\n", b.Name, cfg, hr, len(pairs))
+	c.printf("%s on %s: true hit rate %.4f, %d pairs total\n", b.Name, cfg, hr, len(pairs))
 	return nil
 }
 
-// tinyModelConfig shrinks the CB-GAN for smoke tests: a 16×16 image
-// with minimal channel counts trains in seconds on one core.
-func tinyModelConfig() cachebox.ModelConfig {
-	c := cachebox.DefaultModelConfig()
-	c.ImageSize = 16
-	c.NGF = 2
-	c.NDF = 2
-	c.DLayers = 1
-	c.CondHidden = 4
-	c.CondChannels = 2
-	return c
-}
-
-// resolveTrainConfig implements the trainer CLIs' shared flag
-// precedence: flag defaults < -config file < explicitly set flags.
-// set reports which flag names the user passed on the command line.
-func resolveTrainConfig(configPath string, set map[string]bool, epochs, batch int, shards, workers int, checkpointEvery int) (cachebox.TrainConfig, error) {
-	var tc cachebox.TrainConfig
-	if configPath != "" {
-		var err error
-		if tc, err = cachebox.LoadTrainConfigFile(configPath); err != nil {
-			return tc, err
-		}
-	}
-	if set["epochs"] || tc.Epochs == 0 {
-		tc.Epochs = epochs
-	}
-	if set["batch"] || tc.BatchSize == 0 {
-		tc.BatchSize = batch
-	}
-	if set["shards"] || tc.Parallel.Shards == 0 {
-		tc.Parallel.Shards = shards
-	}
-	if set["j"] || tc.Parallel.Workers == 0 {
-		tc.Parallel.Workers = workers
-	}
-	if set["checkpoint-every"] || tc.Checkpoint.Every == 0 {
-		tc.Checkpoint.Every = checkpointEvery
-	}
-	if tc.Seed == 0 {
-		tc.Seed = 1
-	}
-	return tc, nil
-}
-
-// setFlags records which flags were passed explicitly (for -config
-// override precedence).
-func setFlags(fs *flag.FlagSet) map[string]bool {
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	return set
-}
-
-func cmdTrain(args []string) (err error) {
-	fs := flag.NewFlagSet("train", flag.ExitOnError)
-	out := fs.String("o", "model.cbgan", "output model file")
-	saveModel := fs.String("save-model", "", "output model file (overrides -o; use to export into a cbx-serve registry dir)")
-	loadModel := fs.String("load-model", "", "warm-start from an existing model instead of initialising fresh; with -epochs 0 the model is re-exported without training")
-	tiny := fs.Bool("tiny", false, "use a miniature model and heatmap geometry (fast smoke-test models)")
-	cfgStr := fs.String("cache", "64set-12way", "comma-separated cache geometries to train on")
-	configPath := fs.String("config", "", "train.json TrainConfig file; explicitly passed flags override its fields")
-	epochs := fs.Int("epochs", 50, "training epochs (0 with -load-model: re-export only)")
-	batch := fs.Int("batch", 8, "batch size")
-	shards := fs.Int("shards", 0, "data-parallel gradient shards per batch (0/1 = serial; the model depends on -shards, never on -j)")
-	ops := fs.Int("ops", 120000, "accesses per benchmark")
-	scale := fs.Float64("suite-scale", 0.25, "problem-size scale")
-	seed := fs.Int64("seed", 42, "train/test split seed")
-	maxBenches := fs.Int("max-benches", 0, "cap the number of training benchmarks (0 = all)")
-	storeDir := fs.String("store", "", "artifact store directory for memoised simulation results (empty = no store)")
-	noStore := fs.Bool("no-store", false, "disable the artifact store even if -store is set")
-	checkpointEvery := fs.Int("checkpoint-every", 0, "write a resumable checkpoint every N epochs (0 disables)")
-	resume := fs.Bool("resume", false, "resume training from the checkpoint file if present")
-	workers := fs.Int("j", 0, "worker-pool width for simulation and gradient shards (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
-	tracePath := fs.String("trace", "", "write a Chrome trace-event file of the run's spans to this path")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	defer traceToFile(*tracePath, &err)()
-	path := *out
-	if *saveModel != "" {
-		path = *saveModel
-	}
-	ckptPath := path + ".ckpt"
-
-	tc, err := resolveTrainConfig(*configPath, setFlags(fs), *epochs, *batch, *shards, *workers, *checkpointEvery)
-	if err != nil {
-		return err
-	}
-	tc.Log = os.Stdout
-
-	var m *cachebox.Model
-	if *loadModel != "" {
-		if m, err = cachebox.LoadModelFile(*loadModel); err != nil {
-			return err
-		}
-	} else {
-		mc := cachebox.DefaultModelConfig()
-		if *tiny {
-			mc = tinyModelConfig()
-		}
-		if m, err = cachebox.NewModel(mc); err != nil {
-			return err
-		}
-	}
-	// Re-export path: -epochs 0 skips dataset building and training
-	// entirely, so a trained model can be copied into a serving registry
-	// (or a fresh tiny model materialised) without a training run.
-	if tc.Epochs <= 0 {
-		if err := m.SaveFile(path); err != nil {
-			return err
-		}
-		fmt.Printf("saved model to %s (no training)\n", path)
-		return nil
-	}
-	if tc.Checkpoint.Every > 0 && tc.Checkpoint.Path == "" {
-		tc.Checkpoint.Path = ckptPath
-	}
-	if *resume {
-		c, err := cachebox.LoadCheckpointFile(ckptPath)
-		if err != nil {
-			return fmt.Errorf("resume: %w", err)
-		}
-		tc.ResumeFrom = c
-		if tc.Checkpoint.Path == "" {
-			// Keep checkpointing where the resumed run left its state.
-			tc.Checkpoint.Path = ckptPath
-			tc.Checkpoint.Every = 1
-		}
-	}
-
-	// A -config file naming a streamed dataset trains straight off the
-	// sharded store manifest; otherwise the synthetic pipeline builds
-	// the dataset in memory.
-	if tc.Dataset.Kind == cachebox.TrainDatasetStream {
-		src, man, err := traind.OpenDatasetSource(tc.Dataset)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("training on %d streamed samples from dataset %q\n", src.Len(), man.Name)
-		if _, err := m.TrainSource(src, tc); err != nil {
-			return err
-		}
-		if err := m.SaveFile(path); err != nil {
-			return err
-		}
-		fmt.Printf("saved model to %s\n", path)
-		return nil
-	}
-
-	var cfgs []cachesim.Config
-	for _, s := range strings.Split(*cfgStr, ",") {
-		cfg, err := parseCacheConfig(strings.TrimSpace(s))
-		if err != nil {
-			return err
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	benches := allBenches(*ops, *scale)
-	train, _ := cachebox.SplitBenchmarks(benches, 0.8, *seed)
-	if *maxBenches > 0 && len(train) > *maxBenches {
-		train = train[:*maxBenches]
-	}
-	p := cachebox.NewPipeline()
-	p.MaxPairsPerBench = 24
-	p.SplitSeed = *seed
-	p.Workers = *workers
-	if *tiny {
-		// Match the heatmap geometry to the miniature model and shrink
-		// the window so short traces still yield training pairs.
-		p.Heatmap = cachebox.HeatmapConfig{Height: 16, Width: 16, WindowInstr: 40, Overlap: 0.30, AddrShift: 6}
-		p.MaxPairsPerBench = 8
-	}
-	if *storeDir != "" && !*noStore {
-		st, err := cachebox.OpenStore(*storeDir)
-		if err != nil {
-			return err
-		}
-		p.Store = st
-	}
-	ds, err := p.Dataset(train, cfgs, 0.65)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("training on %d samples from %d benchmarks x %d configs\n", len(ds), len(train), len(cfgs))
-	if _, err := m.Train(ds, tc); err != nil {
-		return err
-	}
-	if err := m.SaveFile(path); err != nil {
-		return err
-	}
-	fmt.Printf("saved model to %s\n", path)
-	if p.Store != nil {
-		fmt.Println(cachebox.RuntimeSummary())
-	}
-	return nil
-}
-
-func cmdEvaluate(args []string) (err error) {
-	fs := flag.NewFlagSet("evaluate", flag.ExitOnError)
-	modelPath := fs.String("model", "model.cbgan", "trained model file")
-	cfgStr := fs.String("cache", "64set-12way", "cache geometry to evaluate")
-	batch := fs.Int("batch", 8, "inference batch size")
-	ops := fs.Int("ops", 120000, "accesses per benchmark")
-	scale := fs.Float64("suite-scale", 0.25, "problem-size scale")
-	seed := fs.Int64("seed", 42, "train/test split seed (must match training)")
-	workers := fs.Int("j", 0, "simulation worker-pool width (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
-	tracePath := fs.String("trace", "", "write a Chrome trace-event file of the run's spans to this path")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	defer traceToFile(*tracePath, &err)()
-	m, err := cachebox.LoadModelFile(*modelPath)
-	if err != nil {
-		return err
-	}
-	cfg, err := parseCacheConfig(*cfgStr)
-	if err != nil {
-		return err
-	}
-	benches := allBenches(*ops, *scale)
-	_, test := cachebox.SplitBenchmarks(benches, 0.8, *seed)
-	p := cachebox.NewPipeline()
-	p.MaxPairsPerBench = 24
-	p.Workers = *workers
-	var diffs []float64
-	// Ground-truth simulation fans out across the worker pool; rows
-	// print in benchmark order either way.
-	for _, res := range p.EvaluateAll(m, test, cfg, *batch) {
-		ev, err := res.Eval, res.Err
-		if err != nil {
-			fmt.Printf("%-36s skipped: %v\n", res.Eval.Bench, err)
-			continue
-		}
-		if ev.TrueHit < 0.65 {
-			fmt.Printf("%-36s excluded (true hit %.4f below data-regime threshold)\n", ev.Bench, ev.TrueHit)
-			continue
-		}
-		fmt.Printf("%-36s true=%.4f pred=%.4f |diff|=%.2f%%\n", ev.Bench, ev.TrueHit, ev.PredHit, ev.AbsPctDiff)
-		diffs = append(diffs, ev.AbsPctDiff)
-	}
-	var sum float64
-	for _, d := range diffs {
-		sum += d
-	}
-	if len(diffs) > 0 {
-		fmt.Printf("average absolute percentage difference: %.2f%% over %d benchmarks\n", sum/float64(len(diffs)), len(diffs))
-	}
-	return nil
-}
-
-func cmdPhases(args []string) error {
-	fs := flag.NewFlagSet("phases", flag.ExitOnError)
+func (c *cli) phases(args []string) error {
+	fs := c.flags("phases")
 	name := fs.String("bench", "", "benchmark name")
 	traceFile := fs.String("trace", "", "binary trace file (alternative to -bench)")
 	interval := fs.Int("interval", 10000, "accesses per interval")
 	k := fs.Int("k", 4, "number of phases")
 	cfgStr := fs.String("cache", "64set-12way", "cache geometry for the rate comparison")
-	ops := fs.Int("ops", 120000, "accesses per benchmark")
-	scale := fs.Float64("suite-scale", 0.25, "problem-size scale")
-	if err := fs.Parse(args); err != nil {
+	benches := suiteFlags(fs)
+	if err := parse(fs, args); err != nil {
 		return err
 	}
-	var tr *trace.Trace
-	switch {
-	case *traceFile != "":
-		f, err := os.Open(*traceFile)
-		if err != nil {
-			return err
-		}
-		//lint:ignore unchecked-error read-only file; a Close failure cannot lose data
-		defer f.Close()
-		tr, err = trace.ReadBinary(f)
-		if err != nil {
-			return err
-		}
-	case *name != "":
-		b, err := workload.ByName(allBenches(*ops, *scale), *name)
-		if err != nil {
-			return err
-		}
-		tr = b.Trace()
-	default:
-		return fmt.Errorf("phases: need -bench or -trace")
+	tr, err := benchOrTrace(*traceFile, *name, benches)
+	if err != nil {
+		return err
 	}
 	scfg := simpoint.DefaultConfig()
 	scfg.IntervalLen = *interval
@@ -587,13 +360,13 @@ func cmdPhases(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d intervals, %d phases\n", tr.Name, len(ph.Intervals), len(ph.Representatives))
-	for c, rep := range ph.Representatives {
+	c.printf("%s: %d intervals, %d phases\n", tr.Name, len(ph.Intervals), len(ph.Representatives))
+	for i, rep := range ph.Representatives {
 		iv := ph.Intervals[rep]
-		fmt.Printf("  phase %d: weight %.2f, representative interval %d (accesses [%d,%d))\n",
-			c, ph.Weights[c], iv.Index, iv.Lo, iv.Hi)
+		c.printf("  phase %d: weight %.2f, representative interval %d (accesses [%d,%d))\n",
+			i, ph.Weights[i], iv.Index, iv.Lo, iv.Hi)
 	}
-	ccfg, err := parseCacheConfig(*cfgStr)
+	ccfg, err := cachesim.ParseConfig(*cfgStr)
 	if err != nil {
 		return err
 	}
@@ -601,14 +374,7 @@ func cmdPhases(args []string) error {
 	est := ph.EstimateRate(tr, func(sub *trace.Trace) float64 {
 		return cachesim.RunTrace(cachesim.New(ccfg), sub).Stats.MissRate()
 	})
-	fmt.Printf("full-trace miss rate %.4f, simpoint estimate %.4f (|diff| %.2f%%)\n",
-		full, est, 100*abs64(full-est))
+	c.printf("full-trace miss rate %.4f, simpoint estimate %.4f (|diff| %.2f%%)\n",
+		full, est, 100*math.Abs(full-est))
 	return nil
-}
-
-func abs64(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

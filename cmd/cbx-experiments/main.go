@@ -1,27 +1,18 @@
 // Command cbx-experiments regenerates the paper's tables and figures.
 //
-// Usage:
-//
-//	cbx-experiments [-scale tiny|small|full] [-artifacts DIR] [-run LIST]
-//	                [-store DIR] [-no-store] [-split-seed N]
-//	                [-config FILE] [-shards N]
-//	                [-checkpoint-every N] [-resume] [-j N]
-//	                [-trace FILE]
-//
 // -run selects a comma-separated subset of
 // fig3,fig7,fig8,fig9,fig10,fig11,fig12,fig13,fig14,table1 (default:
 // all). -trace writes the run's spans as a Chrome trace-event JSON file
 // (open in chrome://tracing or Perfetto). Trained models are cached
-// under the artifacts directory, so
-// experiments sharing a model (fig8/fig9/fig11/fig12/table1) train it
-// once. Simulation results and models are additionally memoised in a
-// content-addressed artifact store (inspect it with cbx-store); a
-// rerun against a warm store performs zero simulator invocations.
+// under the artifacts directory, so experiments sharing a model
+// (fig8/fig9/fig11/fig12/table1) train it once. Simulation results and models are additionally memoised in a
+// content-addressed artifact store (inspect it with `cachebox store`);
+// a rerun against a warm store performs zero simulator invocations.
 // Ground truth always comes from internal/stream, which simulates and
 // windows a trace one heatmap window at a time; with the store on,
 // training datasets are sharded store manifests fetched per batch
-// (inspect them with cbx-dataset), with -no-store they are held in
-// memory. Artifacts are byte-identical either way.
+// (inspect them with `cachebox dataset`), with -no-store they are held
+// in memory. Artifacts are byte-identical either way.
 package main
 
 import (
@@ -71,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	noStore := fs.Bool("no-store", false, "disable the artifact store (always re-simulate)")
 	splitSeed := fs.Int64("split-seed", 42, "seed of the train/test benchmark split")
 	configPath := fs.String("config", "", "train.json TrainConfig base for harness training (batch size and parallel sections; explicitly passed flags override)")
-	shards := fs.Int("shards", 0, "data-parallel gradient shards per training batch (0/1 = serial; artifacts depend on -shards, never on -j)")
+	fs.Int("shards", 0, "data-parallel gradient shards per training batch (0/1 = serial; artifacts depend on -shards, never on -j)")
 	checkpointEvery := fs.Int("checkpoint-every", 5, "write a training checkpoint every N epochs (0 disables)")
 	resume := fs.Bool("resume", false, "resume interrupted training from existing checkpoints")
 	workers := fs.Int("j", 0, "simulation worker-pool width (0 = GOMAXPROCS, 1 = serial); artifacts are byte-identical at any width")
@@ -99,50 +90,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	r.CheckpointEvery = *checkpointEvery
 	r.Resume = *resume
 	r.Workers = *workers
-	// Flag precedence matches `cachebox train`: defaults < -config file
-	// < explicitly set flags. The harness keeps epochs/seed/dataset
-	// experiment-controlled; the config contributes the batch-size
-	// override and parallelism sections.
-	if *configPath != "" {
-		tc, err := core.LoadTrainConfigFile(*configPath)
-		if err != nil {
-			errs.printf("%v\n", err)
-			return 2
-		}
-		r.Train = tc
-	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["shards"] || r.Train.Parallel.Shards == 0 {
-		r.Train.Parallel.Shards = *shards
-	}
-	if set["j"] || r.Train.Parallel.Workers == 0 {
-		r.Train.Parallel.Workers = *workers
+	// Flag precedence matches `cachebox train`. The harness keeps
+	// epochs, seed and dataset experiment-controlled: it reads only the
+	// batch size and the parallel section of the result.
+	if r.Train, err = core.ResolveTrainConfig(*configPath, fs); err != nil {
+		errs.printf("%v\n", err)
+		return 2
 	}
 	if !*noStore {
 		dir := *storeDir
 		if dir == "" {
 			dir = filepath.Join(*artifacts, "store")
 		}
-		st, err := store.Open(dir)
-		if err != nil {
+		if r.Store, err = store.Open(dir); err != nil {
 			errs.printf("%v\n", err)
 			return 2
 		}
-		r.Store = st
 	}
 
-	all := []string{"fig3", "fig14", "fig7", "fig8", "fig9", "fig12", "fig11", "fig10", "fig13", "table1", "ablation"}
 	want := map[string]bool{}
-	if *runList == "all" || *runList == "" {
-		for _, e := range all {
-			want[e] = true
-		}
-	} else {
-		for _, e := range strings.Split(*runList, ",") {
-			want[strings.TrimSpace(e)] = true
-		}
+	for _, e := range strings.Split(*runList, ",") {
+		want[strings.TrimSpace(e)] = true
 	}
+	all := want["all"] || want[""]
 
 	steps := []struct {
 		name string
@@ -162,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	failed := 0
 	for _, s := range steps {
-		if !want[s.name] {
+		if !all && !want[s.name] {
 			continue
 		}
 		out.printf("\n===== %s (scale=%s) =====\n", s.name, scale)

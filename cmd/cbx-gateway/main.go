@@ -28,65 +28,82 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
 	"cachebox/internal/gateway"
+	"cachebox/internal/httpx"
 	"cachebox/internal/obs"
 )
 
 func main() {
-	addr := flag.String("addr", ":8090", "listen address")
-	replicas := flag.String("replicas", "", "comma-separated cbx-serve base URLs (required)")
-	vnodes := flag.Int("vnodes", 64, "virtual nodes per replica on the hash ring")
-	healthInterval := flag.Duration("health-interval", 500*time.Millisecond, "health-poll period")
-	healthTimeout := flag.Duration("health-timeout", 2*time.Second, "health-probe timeout")
-	ejectAfter := flag.Int("eject-after", 3, "consecutive failures before a replica is ejected")
-	readmitBackoff := flag.Duration("readmit-backoff", time.Second, "initial probe backoff for ejected replicas")
-	maxBackoff := flag.Duration("max-backoff", 30*time.Second, "probe backoff cap")
-	noRetry := flag.Bool("no-retry-429", false, "disable retrying replica backpressure onto the next candidate")
-	shedFrac := flag.Float64("shed-frac", 0.8, "retry a 429 only onto a candidate below this fraction of queue capacity")
-	noHedge := flag.Bool("no-hedge", false, "disable tail-latency hedging")
-	hedgeQuantile := flag.Float64("hedge-quantile", 0.95, "latency quantile used as the adaptive hedge budget")
-	hedgeMin := flag.Duration("hedge-min", 2*time.Millisecond, "hedge budget floor (and cold-start budget)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "fixed hedge delay overriding the adaptive budget (0 = adaptive)")
-	timeout := flag.Duration("timeout", 30*time.Second, "end-to-end proxied request timeout")
-	drainWait := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
-	traceDir := flag.String("trace-dir", "", "write a Chrome trace-event file of the gateway spans to this directory at shutdown")
-	mergeOut := flag.String("merge", "", "merge trace files given as positional args into this output file and exit")
-	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/ (opt-in)")
-	flag.Parse()
+	ctx, _ := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run serves until ctx ends (or merges trace files with -merge) and
+// returns the exit code: 0 ok, 1 a failure, 2 a usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cbx-gateway", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8090", "listen address")
+	replicas := fs.String("replicas", "", "comma-separated cbx-serve base URLs (required)")
+	vnodes := fs.Int("vnodes", 64, "virtual nodes per replica on the hash ring")
+	healthInterval := fs.Duration("health-interval", 500*time.Millisecond, "health-poll period")
+	healthTimeout := fs.Duration("health-timeout", 2*time.Second, "health-probe timeout")
+	ejectAfter := fs.Int("eject-after", 3, "consecutive failures before a replica is ejected")
+	readmitBackoff := fs.Duration("readmit-backoff", time.Second, "initial probe backoff for ejected replicas")
+	maxBackoff := fs.Duration("max-backoff", 30*time.Second, "probe backoff cap")
+	noRetry := fs.Bool("no-retry-429", false, "disable retrying replica backpressure onto the next candidate")
+	shedFrac := fs.Float64("shed-frac", 0.8, "retry a 429 only onto a candidate below this fraction of queue capacity")
+	noHedge := fs.Bool("no-hedge", false, "disable tail-latency hedging")
+	hedgeQuantile := fs.Float64("hedge-quantile", 0.95, "latency quantile used as the adaptive hedge budget")
+	hedgeMin := fs.Duration("hedge-min", 2*time.Millisecond, "hedge budget floor (and cold-start budget)")
+	hedgeAfter := fs.Duration("hedge-after", 0, "fixed hedge delay overriding the adaptive budget (0 = adaptive)")
+	timeout := fs.Duration("timeout", 30*time.Second, "end-to-end proxied request timeout")
+	drainWait := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
+	traceDir := fs.String("trace-dir", "", "write a Chrome trace-event file of the gateway spans to this directory at shutdown")
+	mergeOut := fs.String("merge", "", "merge trace files given as positional args into this output file and exit")
+	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/ (opt-in)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	logger := log.New(stderr, "cbx-gateway: ", log.LstdFlags|log.Lmsgprefix)
 
 	if *mergeOut != "" {
-		if flag.NArg() == 0 {
-			fmt.Fprintln(os.Stderr, "cbx-gateway: -merge needs at least one input trace file")
-			os.Exit(1)
+		if fs.NArg() == 0 {
+			logger.Print("-merge needs at least one input trace file")
+			return 2
 		}
-		if err := obs.MergeTraceFiles(*mergeOut, flag.Args()); err != nil {
-			fmt.Fprintln(os.Stderr, "cbx-gateway: merge:", err)
-			os.Exit(1)
+		if err := obs.MergeTraceFiles(*mergeOut, fs.Args()); err != nil {
+			logger.Print("merge: ", err)
+			return 1
 		}
-		fmt.Printf("merged %d trace file(s) into %s\n", flag.NArg(), *mergeOut)
-		return
+		if _, err := fmt.Fprintf(stdout, "merged %d trace file(s) into %s\n", fs.NArg(), *mergeOut); err != nil {
+			return 1
+		}
+		return 0
 	}
 
 	fleet := splitReplicas(*replicas)
 	if len(fleet) == 0 {
-		fmt.Fprintln(os.Stderr, "cbx-gateway: -replicas is required (comma-separated base URLs)")
-		os.Exit(1)
+		logger.Print("-replicas is required (comma-separated base URLs)")
+		return 2
 	}
 
 	// Like cbx-serve: span histograms always, trace buffering only when
 	// a trace file was requested.
 	collector := obs.NewCollector(obs.Options{Trace: *traceDir != ""})
 	obs.Install(collector)
+	defer obs.Install(nil)
 
 	g, err := gateway.New(gateway.Config{
 		Replicas:        fleet,
@@ -105,56 +122,20 @@ func main() {
 		RequestTimeout:  *timeout,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cbx-gateway:", err)
-		os.Exit(1)
+		logger.Print(err)
+		return 1
 	}
-
-	var handler http.Handler = g
-	if *pprofOn {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		mux.Handle("/", g)
-		handler = mux
+	err = httpx.Run(ctx, httpx.Service{
+		Name: "cbx-gateway", Addr: *addr, Handler: g, Pprof: *pprofOn,
+		Detail: fmt.Sprintf("fronting %d replica(s)", len(fleet)),
+		Start:  g.Start, Drain: g.Wait, DrainTimeout: *drainWait,
+		TraceDir: *traceDir, Collector: collector, Log: logger,
+	})
+	if err != nil {
+		logger.Print(err)
+		return 1
 	}
-	hs := &http.Server{Addr: *addr, Handler: handler}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	g.Start(ctx)
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("cbx-gateway: listening on %s, fronting %d replica(s)", *addr, len(fleet))
-
-	select {
-	case <-ctx.Done():
-		log.Printf("cbx-gateway: signal received, draining")
-		sctx, cancel := context.WithTimeout(context.Background(), *drainWait)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			log.Printf("cbx-gateway: shutdown: %v", err)
-		}
-		g.Wait()
-		log.Printf("cbx-gateway: drained")
-		if *traceDir != "" {
-			path := filepath.Join(*traceDir, "cbx-gateway-trace.json")
-			if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-				log.Printf("cbx-gateway: trace dir: %v", err)
-			} else if err := collector.WriteFile(path); err != nil {
-				log.Printf("cbx-gateway: write trace: %v", err)
-			} else {
-				log.Printf("cbx-gateway: wrote %d trace events to %s", collector.EventCount(), path)
-			}
-		}
-	case err := <-errc:
-		if !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "cbx-gateway:", err)
-			os.Exit(1)
-		}
-	}
+	return 0
 }
 
 // splitReplicas parses the -replicas flag, trimming whitespace and

@@ -25,50 +25,75 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	"cachebox/internal/core"
+	"cachebox/internal/httpx"
 	"cachebox/internal/obs"
 	"cachebox/internal/serve"
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	modelsDir := flag.String("models", "", "directory of *"+serve.ModelExt+" model files (hot-reloadable)")
-	modelFile := flag.String("model", "", "single model file (static registry, served as \"default\")")
-	storeDir := flag.String("store", "", "artifact store to serve models from (kind \"model\" entries)")
-	maxBatch := flag.Int("max-batch", 16, "max coalesced requests per forward pass")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "max wait for a batch to fill before flushing")
-	queueDepth := flag.Int("queue", 256, "bounded queue depth (full queue returns 429)")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request queue+inference timeout")
-	workers := flag.Int("workers", 1, "batch-collection workers")
-	drainWait := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
-	quantize := flag.Bool("quantize", false, "serve int8 symmetric-quantized inference (calibrated from the loaded float32 weights; applies to hot-reloaded models too)")
-	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/ (opt-in)")
-	traceDir := flag.String("trace-dir", "", "write a Chrome trace-event file of the serving spans to this directory at shutdown")
-	flag.Parse()
+	ctx, _ := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run serves until ctx ends and returns the exit code: 0 after a clean
+// drain, 1 if the registry or listener fails, 2 on a usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cbx-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "listen address")
+	modelsDir := fs.String("models", "", "directory of *"+serve.ModelExt+" model files (hot-reloadable)")
+	modelFile := fs.String("model", "", "single model file (static registry, served as \"default\")")
+	storeDir := fs.String("store", "", "artifact store to serve models from (kind \"model\" entries)")
+	maxBatch := fs.Int("max-batch", 16, "max coalesced requests per forward pass")
+	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "max wait for a batch to fill before flushing")
+	queueDepth := fs.Int("queue", 256, "bounded queue depth (full queue returns 429)")
+	timeout := fs.Duration("timeout", 30*time.Second, "per-request queue+inference timeout")
+	workers := fs.Int("workers", 1, "batch-collection workers")
+	drainWait := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
+	quantize := fs.Bool("quantize", false, "serve int8 symmetric-quantized inference (calibrated from the loaded float32 weights; applies to hot-reloaded models too)")
+	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/ (opt-in)")
+	traceDir := fs.String("trace-dir", "", "write a Chrome trace-event file of the serving spans to this directory at shutdown")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	logger := log.New(stderr, "cbx-serve: ", log.LstdFlags|log.Lmsgprefix)
+	sources := 0
+	for _, v := range []string{*modelsDir, *modelFile, *storeDir} {
+		if v != "" {
+			sources++
+		}
+	}
+	if sources != 1 {
+		logger.Print("need exactly one of -models <dir>, -model <file> or -store <dir>")
+		return 2
+	}
 
 	// A collector is always installed so per-span latency histograms
 	// surface in GET /metrics; trace-event buffering is only paid for
 	// when -trace-dir asks for a trace file.
 	collector := obs.NewCollector(obs.Options{Trace: *traceDir != ""})
 	obs.Install(collector)
+	defer obs.Install(nil)
 
 	reg, err := buildRegistry(*modelsDir, *modelFile, *storeDir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cbx-serve:", err)
-		os.Exit(1)
+		logger.Print(err)
+		return 1
 	}
 	if *quantize {
 		reg.Quantize()
-		log.Printf("cbx-serve: int8 quantized inference enabled")
+		logger.Print("int8 quantized inference enabled")
 	}
 	s := serve.New(reg, serve.Config{
 		MaxBatch:       *maxBatch,
@@ -77,77 +102,34 @@ func main() {
 		RequestTimeout: *timeout,
 		Workers:        *workers,
 	})
-	var handler http.Handler = s
-	if *pprofOn {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		mux.Handle("/", s)
-		handler = mux
+	// The listener stops first so handlers finish receiving results,
+	// then Close drains the batcher so every accepted request is
+	// answered.
+	err = httpx.Run(ctx, httpx.Service{
+		Name: "cbx-serve", Addr: *addr, Handler: s, Pprof: *pprofOn,
+		Detail: fmt.Sprintf("%d model(s) loaded", reg.Len()),
+		Drain:  s.Close, DrainTimeout: *drainWait,
+		TraceDir: *traceDir, Collector: collector, Log: logger,
+	})
+	if err != nil {
+		logger.Print(err)
+		return 1
 	}
-	hs := &http.Server{Addr: *addr, Handler: handler}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("cbx-serve: listening on %s, %d model(s) loaded", *addr, reg.Len())
-
-	select {
-	case <-ctx.Done():
-		// First stop the listener so handlers finish receiving results,
-		// then drain the batcher so every accepted request is answered.
-		log.Printf("cbx-serve: signal received, draining")
-		sctx, cancel := context.WithTimeout(context.Background(), *drainWait)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			log.Printf("cbx-serve: shutdown: %v", err)
-		}
-		s.Close()
-		log.Printf("cbx-serve: drained")
-		if *traceDir != "" {
-			path := filepath.Join(*traceDir, "cbx-serve-trace.json")
-			if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-				log.Printf("cbx-serve: trace dir: %v", err)
-			} else if err := collector.WriteFile(path); err != nil {
-				log.Printf("cbx-serve: write trace: %v", err)
-			} else {
-				log.Printf("cbx-serve: wrote %d trace events to %s", collector.EventCount(), path)
-			}
-		}
-	case err := <-errc:
-		if !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "cbx-serve:", err)
-			os.Exit(1)
-		}
-	}
+	return 0
 }
 
-// buildRegistry resolves the -models / -model / -store flags.
+// buildRegistry loads the one model source run accepted.
 func buildRegistry(dir, file, storeDir string) (*serve.Registry, error) {
-	set := 0
-	for _, v := range []string{dir, file, storeDir} {
-		if v != "" {
-			set++
-		}
-	}
 	switch {
-	case set > 1:
-		return nil, fmt.Errorf("use exactly one of -models, -model, -store")
 	case dir != "":
 		return serve.NewRegistry(dir)
 	case storeDir != "":
 		return serve.NewRegistryFromStore(storeDir)
-	case file != "":
+	default:
 		m, err := core.LoadFile(file)
 		if err != nil {
 			return nil, err
 		}
 		return serve.NewStaticRegistry("default", m), nil
-	default:
-		return nil, fmt.Errorf("need -models <dir>, -model <file> or -store <dir>")
 	}
 }

@@ -32,71 +32,73 @@ import (
 	"syscall"
 	"time"
 
+	"cachebox/internal/httpx"
 	"cachebox/internal/store"
 	"cachebox/internal/traind"
 )
 
 func main() {
-	addr := flag.String("addr", ":8090", "listen address")
-	storeDir := flag.String("store", "", "artifact store directory (datasets in, trained models out)")
-	workDir := flag.String("workdir", "", "checkpoint directory (default <store>/traind)")
-	submit := flag.String("submit", "", "run as a client: submit this job spec file, poll to completion, exit")
-	base := flag.String("base", "http://127.0.0.1:8090", "server base URL for -submit")
-	wait := flag.Duration("wait", 10*time.Minute, "job-completion budget for -submit")
-	flag.Parse()
+	ctx, _ := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run serves until ctx ends (or drives one job with -submit) and
+// returns the exit code: 0 ok, 1 a failure, 2 a usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cbx-traind", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8090", "listen address")
+	storeDir := fs.String("store", "", "artifact store directory (datasets in, trained models out)")
+	workDir := fs.String("workdir", "", "checkpoint directory (default <store>/traind)")
+	submit := fs.String("submit", "", "run as a client: submit this job spec file, poll to completion, exit")
+	base := fs.String("base", "http://127.0.0.1:8090", "server base URL for -submit")
+	wait := fs.Duration("wait", 10*time.Minute, "job-completion budget for -submit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	logger := log.New(stderr, "cbx-traind: ", log.LstdFlags|log.Lmsgprefix)
 
 	if *submit != "" {
-		if err := runSubmit(*base, *submit, *wait); err != nil {
-			fmt.Fprintln(os.Stderr, "cbx-traind: submit:", err)
-			os.Exit(1)
+		if err := runSubmit(log.New(stdout, "", 0), *base, *submit, *wait); err != nil {
+			logger.Print("submit: ", err)
+			return 1
 		}
-		return
+		return 0
 	}
 	if *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "cbx-traind: need -store <dir> (or -submit <job.json>)")
-		os.Exit(1)
+		logger.Print("need -store <dir> (or -submit <job.json>)")
+		return 2
 	}
 	st, err := store.Open(*storeDir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cbx-traind:", err)
-		os.Exit(1)
+		logger.Print(err)
+		return 1
 	}
-	s, err := traind.New(traind.Config{Store: st, WorkDir: *workDir, Log: os.Stderr})
+	s, err := traind.New(traind.Config{Store: st, WorkDir: *workDir, Log: stderr})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cbx-traind:", err)
-		os.Exit(1)
+		logger.Print(err)
+		return 1
 	}
-	hs := &http.Server{Addr: *addr, Handler: s}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("cbx-traind: listening on %s, store %s", *addr, *storeDir)
-
-	select {
-	case <-ctx.Done():
-		// Stop the listener first, then cancel the active job and wait
-		// for its checkpoint to settle so a restart can resume it.
-		log.Printf("cbx-traind: signal received, canceling active job")
-		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			log.Printf("cbx-traind: shutdown: %v", err)
-		}
-		s.Close()
-		log.Printf("cbx-traind: drained")
-	case err := <-errc:
-		if !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "cbx-traind:", err)
-			os.Exit(1)
-		}
+	// The listener stops first, then Close cancels the active job and
+	// waits for its checkpoint to settle so a restart can resume it.
+	err = httpx.Run(ctx, httpx.Service{
+		Name: "cbx-traind", Addr: *addr, Handler: s,
+		Detail: "store " + *storeDir,
+		Drain:  s.Close, DrainTimeout: 30 * time.Second, Log: logger,
+	})
+	if err != nil {
+		logger.Print(err)
+		return 1
 	}
+	return 0
 }
 
 // runSubmit drives one job end to end over the API: submit the spec,
 // poll its status until a terminal state, and report the outcome.
-func runSubmit(base, specPath string, budget time.Duration) error {
+func runSubmit(out *log.Logger, base, specPath string, budget time.Duration) error {
 	spec, err := os.ReadFile(specPath)
 	if err != nil {
 		return err
@@ -104,40 +106,26 @@ func runSubmit(base, specPath string, budget time.Duration) error {
 	if err := waitHealthy(base, 10*time.Second); err != nil {
 		return err
 	}
-	code, body, err := fetch(http.MethodPost, base+"/v1/jobs", spec)
+	st, err := job(http.MethodPost, base+"/v1/jobs", spec, http.StatusAccepted)
 	if err != nil {
 		return err
 	}
-	if code != http.StatusAccepted {
-		return fmt.Errorf("POST /v1/jobs: status %d: %s", code, body)
-	}
-	var st traind.JobStatus
-	if err := json.Unmarshal(body, &st); err != nil {
-		return fmt.Errorf("decode job status: %w", err)
-	}
-	fmt.Printf("job %s (%s) accepted: %d epochs, %d shard(s)\n", st.ID, st.Name, st.Epochs, st.Shards)
+	out.Printf("job %s (%s) accepted: %d epochs, %d shard(s)\n", st.ID, st.Name, st.Epochs, st.Shards)
 
 	deadline := time.Now().Add(budget)
 	lastDone := -1
 	for {
-		code, body, err = fetch(http.MethodGet, base+"/v1/jobs/"+st.ID, nil)
-		if err != nil {
+		if st, err = job(http.MethodGet, base+"/v1/jobs/"+st.ID, nil, http.StatusOK); err != nil {
 			return err
-		}
-		if code != http.StatusOK {
-			return fmt.Errorf("GET /v1/jobs/%s: status %d: %s", st.ID, code, body)
-		}
-		if err := json.Unmarshal(body, &st); err != nil {
-			return fmt.Errorf("decode job status: %w", err)
 		}
 		if st.EpochsDone != lastDone {
 			lastDone = st.EpochsDone
-			fmt.Printf("job %s: %s %d/%d epochs (D=%.4f Gadv=%.4f L1=%.4f)\n",
+			out.Printf("job %s: %s %d/%d epochs (D=%.4f Gadv=%.4f L1=%.4f)\n",
 				st.ID, st.State, st.EpochsDone, st.Epochs, st.DLoss, st.GAdv, st.GL1)
 		}
 		switch st.State {
 		case traind.StateSucceeded:
-			fmt.Printf("job %s succeeded: model %s published as store entry %s\n", st.ID, st.Name, st.ModelDigest)
+			out.Printf("job %s succeeded: model %s published as store entry %s\n", st.ID, st.Name, st.ModelDigest)
 			return nil
 		case traind.StateFailed:
 			return fmt.Errorf("job %s failed: %s", st.ID, st.Error)
@@ -149,6 +137,22 @@ func runSubmit(base, specPath string, budget time.Duration) error {
 		}
 		time.Sleep(250 * time.Millisecond)
 	}
+}
+
+// job sends one jobs-API request that must answer with status want and
+// decodes the job status it returns.
+func job(method, url string, body []byte, want int) (traind.JobStatus, error) {
+	var st traind.JobStatus
+	code, data, err := fetch(method, url, body)
+	if err == nil && code != want {
+		err = fmt.Errorf("%s %s: status %d: %s", method, url, code, data)
+	}
+	if err == nil {
+		if err = json.Unmarshal(data, &st); err != nil {
+			err = fmt.Errorf("decode job status: %w", err)
+		}
+	}
+	return st, err
 }
 
 // waitHealthy polls /healthz until the server answers, so the client
@@ -184,12 +188,8 @@ func fetch(method, url string, body []byte) (int, []byte, error) {
 		return 0, nil, err
 	}
 	data, rerr := io.ReadAll(resp.Body)
-	cerr := resp.Body.Close()
-	if rerr != nil {
-		return 0, nil, rerr
-	}
-	if cerr != nil {
-		return 0, nil, cerr
+	if err := errors.Join(rerr, resp.Body.Close()); err != nil {
+		return 0, nil, err
 	}
 	return resp.StatusCode, data, nil
 }

@@ -16,6 +16,8 @@ package cachesim
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 )
 
 // Config describes one cache level.
@@ -79,6 +81,25 @@ func (c Config) SizeBytes() uint64 {
 // String renders the paper's "64set-12way" notation.
 func (c Config) String() string {
 	return fmt.Sprintf("%dset-%dway", c.Sets, c.Ways)
+}
+
+// ParseConfig parses the paper's "64set-12way" notation, the inverse of
+// String: it accepts exactly the strings String prints for a geometry
+// Validate passes, and leaves every other field at its default (LRU,
+// 64-byte blocks).
+func ParseConfig(s string) (Config, error) {
+	sets, ways, _ := strings.Cut(s, "set-")
+	ways, _ = strings.CutSuffix(ways, "way")
+	n, serr := strconv.Atoi(sets)
+	m, werr := strconv.Atoi(ways)
+	c := Config{Sets: n, Ways: m}
+	if serr != nil || werr != nil || c.String() != s {
+		return Config{}, fmt.Errorf("cache config %q: want e.g. 64set-12way", s)
+	}
+	if err := c.Validate(); err != nil {
+		return Config{}, err
+	}
+	return c, nil
 }
 
 // CacheKey renders every field of the configuration, by name, for use

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -217,6 +218,47 @@ func LoadTrainConfigFile(path string) (TrainConfig, error) {
 	c, err := ParseTrainConfig(data)
 	if err != nil {
 		return TrainConfig{}, fmt.Errorf("core: %s: %w", path, err)
+	}
+	return c, nil
+}
+
+// trainFlags names the flag each trainer CLI binds to a TrainConfig
+// field.
+var trainFlags = []struct {
+	name  string
+	field func(*TrainConfig) *int
+}{
+	{"epochs", func(c *TrainConfig) *int { return &c.Epochs }},
+	{"batch", func(c *TrainConfig) *int { return &c.BatchSize }},
+	{"shards", func(c *TrainConfig) *int { return &c.Parallel.Shards }},
+	{"j", func(c *TrainConfig) *int { return &c.Parallel.Workers }},
+	{"checkpoint-every", func(c *TrainConfig) *int { return &c.Checkpoint.Every }},
+}
+
+// ResolveTrainConfig applies the trainer CLIs' precedence, flag
+// defaults < the TrainConfig file at path (none if empty) < flags set
+// on the command line, to the int flags of fs named "epochs", "batch",
+// "shards", "j" and "checkpoint-every". A field the file leaves at 0
+// takes its flag's value, default or not; a flag fs does not define
+// leaves its field as the file has it. A zero Seed becomes 1.
+func ResolveTrainConfig(path string, fs *flag.FlagSet) (TrainConfig, error) {
+	var c TrainConfig
+	if path != "" {
+		var err error
+		if c, err = LoadTrainConfigFile(path); err != nil {
+			return c, err
+		}
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, tf := range trainFlags {
+		f, field := fs.Lookup(tf.name), tf.field(&c)
+		if f != nil && (set[tf.name] || *field == 0) {
+			*field = f.Value.(flag.Getter).Get().(int)
+		}
+	}
+	if c.Seed == 0 {
+		c.Seed = 1
 	}
 	return c, nil
 }

@@ -274,3 +274,24 @@ func TestAblationsRun(t *testing.T) {
 		t.Fatal("no ablation output")
 	}
 }
+
+// TestResumeWithoutCheckpointStartsFresh: -resume before any
+// checkpoint exists trains from scratch without a warning, while an
+// unreadable checkpoint is still reported and ignored.
+func TestResumeWithoutCheckpointStartsFresh(t *testing.T) {
+	r, buf := tinyRunner(t)
+	r.CheckpointEvery, r.Resume = 1, true
+	cfg := r.trainConfig("m", 2, 1)
+	if cfg.ResumeFrom != nil || cfg.Checkpoint.Path == "" {
+		t.Fatalf("fresh resume: ResumeFrom %v, checkpoint path %q", cfg.ResumeFrom, cfg.Checkpoint.Path)
+	}
+	if strings.Contains(buf.String(), "warning") {
+		t.Fatalf("missing checkpoint logged a warning:\n%s", buf)
+	}
+	if err := os.WriteFile(cfg.Checkpoint.Path, []byte("not a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if cfg = r.trainConfig("m", 2, 1); cfg.ResumeFrom != nil || !strings.Contains(buf.String(), "unusable checkpoint") {
+		t.Fatalf("corrupt checkpoint: ResumeFrom %v, log:\n%s", cfg.ResumeFrom, buf)
+	}
+}

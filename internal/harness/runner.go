@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -228,7 +230,7 @@ func (r *Runner) trainConfig(name string, epochs int, seed int64) core.TrainConf
 	if r.Resume {
 		if c, err := core.LoadCheckpointFile(cfg.Checkpoint.Path); err == nil {
 			cfg.ResumeFrom = c
-		} else if !os.IsNotExist(err) {
+		} else if !errors.Is(err, fs.ErrNotExist) {
 			r.logf("[%s] warning: ignoring unusable checkpoint %s: %v\n", name, cfg.Checkpoint.Path, err)
 		}
 	}

@@ -86,7 +86,7 @@ type SamplingInfo struct {
 }
 
 // Manifest describes one built dataset. It is persisted as JSON under
-// the "dataset" kind and is the unit cbx-dataset manipulates.
+// the "dataset" kind and is the unit `cachebox dataset` manipulates.
 type Manifest struct {
 	Format int    `json:"format"`
 	Name   string `json:"name"`

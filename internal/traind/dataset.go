@@ -27,7 +27,7 @@ func OpenDatasetSource(src core.DatasetSource) (core.SampleSource, *stream.Manif
 
 // openDatasetIn resolves a dataset reference inside an already-open
 // store (the service path, which owns a long-lived store handle). A
-// reference is a manifest digest prefix, or — matching how cbx-dataset
+// reference is a manifest digest prefix, or — matching how `cachebox dataset`
 // names what it builds — a dataset name, resolved to the newest
 // dataset manifest carrying it.
 func openDatasetIn(st *store.Store, ref string) (core.SampleSource, *stream.Manifest, error) {
