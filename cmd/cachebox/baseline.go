@@ -40,9 +40,9 @@ func (c *cli) baselineStats(fs *flag.FlagSet) func(*trace.Trace) error {
 	block := fs.Uint64("block", 64, "block size for footprint accounting")
 	return func(tr *trace.Trace) error {
 		st := trace.Summarize(tr, *block)
-		c.printf("%s: %s\ntop strides (bytes: occurrences):\n", tr.Name, st)
+		c.Printf("%s: %s\ntop strides (bytes: occurrences):\n", tr.Name, st)
 		for _, sc := range st.TopStrides {
-			c.printf("  %8d: %d\n", sc.Stride, sc.Count)
+			c.Printf("  %8d: %d\n", sc.Stride, sc.Count)
 		}
 		return nil
 	}
@@ -52,7 +52,7 @@ func (c *cli) baselineReuse(fs *flag.FlagSet) func(*trace.Trace) error {
 	maxTracked := fs.Int("max", 4096, "maximum tracked stack distance")
 	return func(tr *trace.Trace) error {
 		h := baseline.NewHistogram(baseline.StackDistances(tr, 6), *maxTracked)
-		c.printf("%s: %d accesses, %d cold, %d beyond %d\n", tr.Name, h.Total, h.Cold, h.Beyond, *maxTracked)
+		c.Printf("%s: %d accesses, %d cold, %d beyond %d\n", tr.Name, h.Total, h.Cold, h.Beyond, *maxTracked)
 		// Log-spaced buckets [0,1), [1,2), [2,4), ...
 		for lo, hi := 0, 1; lo < *maxTracked; lo, hi = hi, 2*hi {
 			hi = min(hi, *maxTracked)
@@ -61,7 +61,7 @@ func (c *cli) baselineReuse(fs *flag.FlagSet) func(*trace.Trace) error {
 				n += h.Counts[d]
 			}
 			if n > 0 {
-				c.printf("  dist [%5d,%5d): %d\n", lo, hi, n)
+				c.Printf("  dist [%5d,%5d): %d\n", lo, hi, n)
 			}
 		}
 		return nil
@@ -76,7 +76,7 @@ func (c *cli) baselinePredict(fs *flag.FlagSet) func(*trace.Trace) error {
 			return err
 		}
 		truth := cachesim.RunTrace(cachesim.New(cfg), tr).Stats.MissRate()
-		c.printf("%s on %s: true miss rate %.4f\n", tr.Name, cfg, truth)
+		c.Printf("%s on %s: true miss rate %.4f\n", tr.Name, cfg, truth)
 		for _, p := range []baseline.Predictor{
 			&baseline.HRD{},
 			&baseline.STM{Seed: 1},
@@ -85,7 +85,7 @@ func (c *cli) baselinePredict(fs *flag.FlagSet) func(*trace.Trace) error {
 			&baseline.Tabular{Variant: baseline.TabIC, Seed: 1},
 		} {
 			got := p.PredictMissRate(tr, cfg)
-			c.printf("  %-10s predicted %.4f (|diff| %.2f%%)\n", p.Name(), got, 100*math.Abs(got-truth))
+			c.Printf("  %-10s predicted %.4f (|diff| %.2f%%)\n", p.Name(), got, 100*math.Abs(got-truth))
 		}
 		return nil
 	}

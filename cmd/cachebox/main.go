@@ -29,6 +29,7 @@ import (
 	"cachebox/internal/cachesim"
 	"cachebox/internal/obs"
 	"cachebox/internal/simpoint"
+	"cachebox/internal/sticky"
 	"cachebox/internal/trace"
 	"cachebox/internal/workload"
 )
@@ -58,7 +59,7 @@ func (e usageError) Error() string { return string(e) }
 
 // run dispatches one command line and returns the exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	c := &cli{w: stdout, stderr: stderr}
+	c := &cli{sticky.New(stdout), stderr}
 	errs := log.New(stderr, "", 0)
 	var err error
 	switch {
@@ -73,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = commands[args[0]](c, args[1:])
 	}
 	if err == nil {
-		err = c.err
+		err = c.Err()
 	}
 	var ue usageError
 	switch {
@@ -89,27 +90,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 1
 }
 
-// cli is one invocation. Its stdout keeps the first write error, so
-// commands print without checking every line and run reports it once.
+// cli is one invocation. Its stdout is sticky, so commands print
+// without checking every line and run reports a write error once.
 type cli struct {
-	w      io.Writer
-	err    error
+	*sticky.Writer
 	stderr io.Writer
-}
-
-func (c *cli) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	var n int
-	n, c.err = c.w.Write(p)
-	return n, c.err
-}
-
-func (c *cli) printf(format string, args ...any) {
-	if c.err == nil {
-		_, c.err = fmt.Fprintf(c.w, format, args...)
-	}
 }
 
 // flags returns a flag set reporting to the invocation's stderr.
@@ -190,7 +175,7 @@ func (c *cli) traceToFile(path string, err *error) func() {
 			}
 			return
 		}
-		c.printf("wrote %d trace events to %s\n", col.EventCount(), path)
+		c.Printf("wrote %d trace events to %s\n", col.EventCount(), path)
 	}
 }
 
@@ -201,7 +186,7 @@ func (c *cli) list(args []string) error {
 		return err
 	}
 	for _, b := range benches() {
-		c.printf("%-36s suite=%-10s group=%s\n", b.Name, b.Suite, b.Group)
+		c.Printf("%-36s suite=%-10s group=%s\n", b.Name, b.Suite, b.Group)
 	}
 	return nil
 }
@@ -232,7 +217,7 @@ func (c *cli) trace(args []string) error {
 	if err := trace.WriteBinary(f, tr); err != nil {
 		return err
 	}
-	c.printf("wrote %s: %s\n", path, trace.Summarize(tr, 64))
+	c.Printf("wrote %s: %s\n", path, trace.Summarize(tr, 64))
 	return f.Close()
 }
 
@@ -269,7 +254,7 @@ func (c *cli) simulate(args []string) error {
 			return err
 		}
 		for i, lt := range cachesim.RunHierarchy(h, tr) {
-			c.printf("L%d %-18s accesses=%-9d hits=%-9d misses=%-9d hit-rate=%.4f\n",
+			c.Printf("L%d %-18s accesses=%-9d hits=%-9d misses=%-9d hit-rate=%.4f\n",
 				i+1, lt.Config, lt.Stats.Accesses, lt.Stats.Hits, lt.Stats.Misses, lt.HitRate())
 		}
 		return nil
@@ -288,12 +273,12 @@ func (c *cli) simulate(args []string) error {
 	}
 	lt := cachesim.RunTrace(sim, tr)
 	s := lt.Stats
-	c.printf("%s policy=%s accesses=%d hits=%d misses=%d hit-rate=%.4f writebacks=%d",
+	c.Printf("%s policy=%s accesses=%d hits=%d misses=%d hit-rate=%.4f writebacks=%d",
 		cfg, pol, s.Accesses, s.Hits, s.Misses, lt.HitRate(), s.Writebacks)
 	if sim.Prefetcher != nil {
-		c.printf(" prefetch-fills=%d prefetch-hits=%d", s.PrefetchFill, s.PrefetchHit)
+		c.Printf(" prefetch-fills=%d prefetch-hits=%d", s.PrefetchFill, s.PrefetchHit)
 	}
-	c.printf("\n")
+	c.Printf("\n")
 	return nil
 }
 
@@ -332,9 +317,9 @@ func (c *cli) heatmap(args []string) error {
 		if err := cachebox.WriteHeatmapPNG(mp, pairs[i].Miss); err != nil {
 			return err
 		}
-		c.printf("wrote %s and %s\n", ap, mp)
+		c.Printf("wrote %s and %s\n", ap, mp)
 	}
-	c.printf("%s on %s: true hit rate %.4f, %d pairs total\n", b.Name, cfg, hr, len(pairs))
+	c.Printf("%s on %s: true hit rate %.4f, %d pairs total\n", b.Name, cfg, hr, len(pairs))
 	return nil
 }
 
@@ -360,10 +345,10 @@ func (c *cli) phases(args []string) error {
 	if err != nil {
 		return err
 	}
-	c.printf("%s: %d intervals, %d phases\n", tr.Name, len(ph.Intervals), len(ph.Representatives))
+	c.Printf("%s: %d intervals, %d phases\n", tr.Name, len(ph.Intervals), len(ph.Representatives))
 	for i, rep := range ph.Representatives {
 		iv := ph.Intervals[rep]
-		c.printf("  phase %d: weight %.2f, representative interval %d (accesses [%d,%d))\n",
+		c.Printf("  phase %d: weight %.2f, representative interval %d (accesses [%d,%d))\n",
 			i, ph.Weights[i], iv.Index, iv.Lo, iv.Hi)
 	}
 	ccfg, err := cachesim.ParseConfig(*cfgStr)
@@ -374,7 +359,7 @@ func (c *cli) phases(args []string) error {
 	est := ph.EstimateRate(tr, func(sub *trace.Trace) float64 {
 		return cachesim.RunTrace(cachesim.New(ccfg), sub).Stats.MissRate()
 	})
-	c.printf("full-trace miss rate %.4f, simpoint estimate %.4f (|diff| %.2f%%)\n",
+	c.Printf("full-trace miss rate %.4f, simpoint estimate %.4f (|diff| %.2f%%)\n",
 		full, est, 100*math.Abs(full-est))
 	return nil
 }

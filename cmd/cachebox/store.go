@@ -126,10 +126,10 @@ func (c *cli) storeInfo(s *store.Store, args []string) error {
 	}
 	//lint:ignore unchecked-error read-only handle closed at process exit; nothing to flush
 	defer rc.Close()
-	c.printf("digest:  %s\nkind:    %s\nformat:  %d\nsize:    %d bytes\nsha256:  %s\ncreated: %s\n",
+	c.Printf("digest:  %s\nkind:    %s\nformat:  %d\nsize:    %d bytes\nsha256:  %s\ncreated: %s\n",
 		man.Digest, man.Kind, man.Format, man.Size, man.SHA256, man.CreatedAt.Format(timeFormat))
 	for _, name := range sortedNames(man.Inputs) {
-		c.printf("input:   %s = %s\n", name, man.Inputs[name])
+		c.Printf("input:   %s = %s\n", name, man.Inputs[name])
 	}
 	return nil
 }
@@ -183,7 +183,7 @@ func (c *cli) storePut(s *store.Store, args []string) error {
 	if err != nil {
 		return err
 	}
-	c.printf("stored %s kind=%s size=%d (%s)\n", man.Digest[:12], man.Kind, man.Size, inputsSummary(man.Inputs, 3))
+	c.Printf("stored %s kind=%s size=%d (%s)\n", man.Digest[:12], man.Kind, man.Size, inputsSummary(man.Inputs, 3))
 	return nil
 }
 
@@ -197,11 +197,11 @@ func (c *cli) storeVerify(s *store.Store, _ []string) error {
 		return err
 	}
 	if len(bad) == 0 {
-		c.printf("ok: %d entries verified\n", len(entries))
+		c.Printf("ok: %d entries verified\n", len(entries))
 		return nil
 	}
 	for _, d := range bad {
-		c.printf("corrupt: %s\n", d)
+		c.Printf("corrupt: %s\n", d)
 	}
 	return fmt.Errorf("%d of %d entries corrupt", len(bad), len(entries))
 }
@@ -216,7 +216,7 @@ func (c *cli) storeGC(s *store.Store, args []string) error {
 	if err != nil {
 		return err
 	}
-	c.printf("gc: scanned %d, deleted %d, freed %d bytes, %d bytes kept\n",
+	c.Printf("gc: scanned %d, deleted %d, freed %d bytes, %d bytes kept\n",
 		stats.Scanned, stats.Deleted, stats.BytesFreed, stats.BytesKept)
 	return nil
 }
@@ -229,7 +229,7 @@ func (c *cli) storeRm(s *store.Store, args []string) error {
 	if err := s.Remove(digest); err != nil {
 		return err
 	}
-	c.printf("removed %s\n", digest[:12])
+	c.Printf("removed %s\n", digest[:12])
 	return nil
 }
 
@@ -296,8 +296,14 @@ func (c *cli) datasetBuild(st *store.Store, args []string) error {
 		return fmt.Errorf("heatmap %q: want HxW", *geom)
 	}
 	hm.WindowInstr = *window
-	bc := stream.BuildConfig{Name: *name, Heatmap: hm, MaxWindows: *maxWindows,
-		ShardWindows: *shardWindows, MinHitRate: *minHitRate, Workers: *workers}
+	bc := stream.BuildConfig{
+		Name:         *name,
+		Heatmap:      hm,
+		MaxWindows:   *maxWindows,
+		ShardWindows: *shardWindows,
+		MinHitRate:   *minHitRate,
+		Workers:      *workers,
+	}
 	if *sample {
 		bc.Sampling = &sampling.Config{K: *sampleK, SignatureDim: *sampleDim, Seed: *sampleSeed}
 	}
@@ -305,7 +311,7 @@ func (c *cli) datasetBuild(st *store.Store, args []string) error {
 	if err != nil {
 		return err
 	}
-	c.printf("built %s\n%s\n%s\n", sm.Digest[:12], man.Summary(), metrics.RuntimeSummary())
+	c.Printf("built %s\n%s\n%s\n", sm.Digest[:12], man.Summary(), metrics.RuntimeSummary())
 	return nil
 }
 
@@ -344,9 +350,9 @@ func (c *cli) datasetStat(st *store.Store, args []string) error {
 	if err != nil {
 		return err
 	}
-	c.printf("digest: %s\nsha256: %s\n%s\n", sm.Digest, sm.SHA256, man.Summary())
+	c.Printf("digest: %s\nsha256: %s\n%s\n", sm.Digest, sm.SHA256, man.Summary())
 	if sp := man.Sampling; sp != nil {
-		c.printf("sampling: k=%d dim=%d seed=%d, %d of %d windows kept\n",
+		c.Printf("sampling: k=%d dim=%d seed=%d, %d of %d windows kept\n",
 			sp.Config.K, sp.Config.SignatureDim, sp.Config.Seed, sp.Representatives, sp.TotalWindows)
 	}
 	tw := tabwriter.NewWriter(c, 2, 4, 2, ' ', 0)
@@ -382,6 +388,6 @@ func (c *cli) datasetVerify(st *store.Store, args []string) error {
 	if err != nil {
 		return err
 	}
-	c.printf("ok: %d shards verified (%d samples)\n", n, man.TotalWindows)
+	c.Printf("ok: %d shards verified (%d samples)\n", n, man.TotalWindows)
 	return nil
 }

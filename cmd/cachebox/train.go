@@ -11,7 +11,12 @@ import (
 // with minimal channel counts trains in seconds on one core.
 func tinyModelConfig() cachebox.ModelConfig {
 	c := cachebox.DefaultModelConfig()
-	c.ImageSize, c.NGF, c.NDF, c.DLayers, c.CondHidden, c.CondChannels = 16, 2, 2, 1, 4, 2
+	c.ImageSize = 16
+	c.NGF = 2
+	c.NDF = 2
+	c.DLayers = 1
+	c.CondHidden = 4
+	c.CondChannels = 2
 	return c
 }
 
@@ -86,7 +91,7 @@ func (c *cli) train(args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		c.printf("training on %d streamed samples from dataset %q\n", src.Len(), man.Name)
+		c.Printf("training on %d streamed samples from dataset %q\n", src.Len(), man.Name)
 		if _, err := m.TrainSource(src, tc); err != nil {
 			return err
 		}
@@ -118,7 +123,7 @@ func (c *cli) train(args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		c.printf("training on %d samples from %d benchmarks x %d configs\n", len(ds), len(train), len(cfgs))
+		c.Printf("training on %d samples from %d benchmarks x %d configs\n", len(ds), len(train), len(cfgs))
 		if _, err := m.Train(ds, tc); err != nil {
 			return err
 		}
@@ -126,9 +131,9 @@ func (c *cli) train(args []string) (err error) {
 	if err := m.SaveFile(path); err != nil {
 		return err
 	}
-	c.printf("saved model to %s%s\n", path, note)
+	c.Printf("saved model to %s%s\n", path, note)
 	if p.Store != nil {
-		c.printf("%s\n", cachebox.RuntimeSummary())
+		c.Printf("%s\n", cachebox.RuntimeSummary())
 	}
 	return nil
 }
@@ -165,19 +170,19 @@ func (c *cli) evaluate(args []string) (err error) {
 	for _, res := range p.EvaluateAll(m, test, cfg, *batch) {
 		ev, err := res.Eval, res.Err
 		if err != nil {
-			c.printf("%-36s skipped: %v\n", res.Eval.Bench, err)
+			c.Printf("%-36s skipped: %v\n", res.Eval.Bench, err)
 			continue
 		}
 		if ev.TrueHit < 0.65 {
-			c.printf("%-36s excluded (true hit %.4f below data-regime threshold)\n", ev.Bench, ev.TrueHit)
+			c.Printf("%-36s excluded (true hit %.4f below data-regime threshold)\n", ev.Bench, ev.TrueHit)
 			continue
 		}
-		c.printf("%-36s true=%.4f pred=%.4f |diff|=%.2f%%\n", ev.Bench, ev.TrueHit, ev.PredHit, ev.AbsPctDiff)
+		c.Printf("%-36s true=%.4f pred=%.4f |diff|=%.2f%%\n", ev.Bench, ev.TrueHit, ev.PredHit, ev.AbsPctDiff)
 		sum += ev.AbsPctDiff
 		n++
 	}
 	if n > 0 {
-		c.printf("average absolute percentage difference: %.2f%% over %d benchmarks\n", sum/float64(n), n)
+		c.Printf("average absolute percentage difference: %.2f%% over %d benchmarks\n", sum/float64(n), n)
 	}
 	return nil
 }

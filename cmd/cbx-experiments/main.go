@@ -18,7 +18,6 @@ package main
 import (
 	"errors"
 	"flag"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -29,6 +28,7 @@ import (
 	"cachebox/internal/harness"
 	"cachebox/internal/metrics"
 	"cachebox/internal/obs"
+	"cachebox/internal/sticky"
 	"cachebox/internal/store"
 )
 
@@ -36,23 +36,10 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// printer keeps the first write error, so run checks output once
-// instead of after every progress line.
-type printer struct {
-	w   io.Writer
-	err error
-}
-
-func (p *printer) printf(format string, args ...any) {
-	if p.err == nil {
-		_, p.err = fmt.Fprintf(p.w, format, args...)
-	}
-}
-
 // run parses args, runs the selected experiments and returns the exit
 // code: 0 success, 1 an experiment or an output write failed, 2 usage.
 func run(args []string, stdout, stderr io.Writer) int {
-	out, errs := &printer{w: stdout}, &printer{w: stderr}
+	out, errs := sticky.New(stdout), sticky.New(stderr)
 	fs := flag.NewFlagSet("cbx-experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scaleFlag := fs.String("scale", "small", "experiment scale: tiny, small or full")
@@ -76,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	scale, err := harness.ParseScale(*scaleFlag)
 	if err != nil {
-		errs.printf("%v\n", err)
+		errs.Printf("%v\n", err)
 		return 2
 	}
 	var collector *obs.Collector
@@ -94,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// epochs, seed and dataset experiment-controlled: it reads only the
 	// batch size and the parallel section of the result.
 	if r.Train, err = core.ResolveTrainConfig(*configPath, fs); err != nil {
-		errs.printf("%v\n", err)
+		errs.Printf("%v\n", err)
 		return 2
 	}
 	if !*noStore {
@@ -103,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			dir = filepath.Join(*artifacts, "store")
 		}
 		if r.Store, err = store.Open(dir); err != nil {
-			errs.printf("%v\n", err)
+			errs.Printf("%v\n", err)
 			return 2
 		}
 	}
@@ -112,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, e := range strings.Split(*runList, ",") {
 		want[strings.TrimSpace(e)] = true
 	}
-	all := want["all"] || want[""]
+	all := *runList == "all" || *runList == ""
 
 	steps := []struct {
 		name string
@@ -135,24 +122,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !all && !want[s.name] {
 			continue
 		}
-		out.printf("\n===== %s (scale=%s) =====\n", s.name, scale)
+		out.Printf("\n===== %s (scale=%s) =====\n", s.name, scale)
 		t0 := time.Now()
 		if err := s.fn(); err != nil {
-			errs.printf("%s failed: %v\n", s.name, err)
+			errs.Printf("%s failed: %v\n", s.name, err)
 			failed++
 			continue
 		}
-		out.printf("===== %s done in %.1fs =====\n", s.name, time.Since(t0).Seconds())
+		out.Printf("===== %s done in %.1fs =====\n", s.name, time.Since(t0).Seconds())
 	}
-	out.printf("%s\n", metrics.RuntimeSummary())
+	out.Printf("%s\n", metrics.RuntimeSummary())
 	if collector != nil {
 		if err := collector.WriteFile(*tracePath); err != nil {
-			errs.printf("%v\n", err)
+			errs.Printf("%v\n", err)
 			return 1
 		}
-		out.printf("wrote %d trace events to %s\n", collector.EventCount(), *tracePath)
+		out.Printf("wrote %d trace events to %s\n", collector.EventCount(), *tracePath)
 	}
-	if failed > 0 || out.err != nil {
+	if failed > 0 || out.Err() != nil {
 		return 1
 	}
 	return 0

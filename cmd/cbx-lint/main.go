@@ -46,54 +46,26 @@ import (
 	"strings"
 
 	"cachebox/internal/analysis"
+	"cachebox/internal/sticky"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// sink adapts an output stream to sticky-error printing: the first
-// write error is retained, every later write becomes a no-op, and run
-// checks the error once at exit instead of after each diagnostic line.
-type sink struct {
-	w   io.Writer
-	err error
-}
-
-func (s *sink) Write(p []byte) (int, error) {
-	if s.err != nil {
-		return 0, s.err
-	}
-	var n int
-	n, s.err = s.w.Write(p)
-	return n, s.err
-}
-
-func (s *sink) printf(format string, args ...any) {
-	if s.err == nil {
-		_, s.err = fmt.Fprintf(s.w, format, args...)
-	}
-}
-
-func (s *sink) println(args ...any) {
-	if s.err == nil {
-		_, s.err = fmt.Fprintln(s.w, args...)
-	}
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
-	out, errs := &sink{w: stdout}, &sink{w: stderr}
+	out, errs := sticky.New(stdout), sticky.New(stderr)
 	code := lint(args, out, errs)
-	if out.err != nil {
-		errs.println("cbx-lint: writing findings failed:", out.err)
+	if out.Err() != nil {
+		errs.Println("cbx-lint: writing findings failed:", out.Err())
 	}
-	if code == 0 && (out.err != nil || errs.err != nil) {
+	if code == 0 && (out.Err() != nil || errs.Err() != nil) {
 		code = 2
 	}
 	return code
 }
 
-func lint(args []string, out, errs *sink) int {
+func lint(args []string, out, errs *sticky.Writer) int {
 	fs := flag.NewFlagSet("cbx-lint", flag.ContinueOnError)
 	fs.SetOutput(errs)
 	var (
@@ -112,7 +84,7 @@ func lint(args []string, out, errs *sink) int {
 		return 2
 	}
 	if *jsonOut && *sarifOut {
-		errs.println("cbx-lint: -json and -sarif are mutually exclusive")
+		errs.Println("cbx-lint: -json and -sarif are mutually exclusive")
 		return 2
 	}
 	if *workers < 1 {
@@ -121,37 +93,37 @@ func lint(args []string, out, errs *sink) int {
 
 	root, err := findModuleRoot(*modDir)
 	if err != nil {
-		errs.println("cbx-lint:", err)
+		errs.Println("cbx-lint:", err)
 		return 2
 	}
 	loader, err := analysis.NewLoader(root, "")
 	if err != nil {
-		errs.println("cbx-lint:", err)
+		errs.Println("cbx-lint:", err)
 		return 2
 	}
 
 	analyzers := analysis.DefaultAnalyzers(loader.ModulePath)
 	if *list {
 		for _, a := range analyzers {
-			out.printf("%-20s %s\n", a.Name, a.Doc)
+			out.Printf("%-20s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
 	analyzers, err = selectAnalyzers(analyzers, *enable, *disable)
 	if err != nil {
-		errs.println("cbx-lint:", err)
+		errs.Println("cbx-lint:", err)
 		return 2
 	}
 
 	ctx := context.Background()
 	pkgs, err := loader.LoadAllParallel(ctx, *workers)
 	if err != nil {
-		errs.println("cbx-lint:", err)
+		errs.Println("cbx-lint:", err)
 		return 2
 	}
 	pkgs, err = filterPackages(pkgs, root, fs.Args())
 	if err != nil {
-		errs.println("cbx-lint:", err)
+		errs.Println("cbx-lint:", err)
 		return 2
 	}
 
@@ -161,7 +133,7 @@ func lint(args []string, out, errs *sink) int {
 	broken := false
 	for _, p := range pkgs {
 		for _, terr := range p.TypeErrors {
-			errs.printf("cbx-lint: typecheck %s: %v\n", p.ImportPath, terr)
+			errs.Printf("cbx-lint: typecheck %s: %v\n", p.ImportPath, terr)
 			broken = true
 		}
 	}
@@ -171,7 +143,7 @@ func lint(args []string, out, errs *sink) int {
 
 	findings, timings, err := analysis.RunParallel(ctx, *workers, pkgs, analyzers)
 	if err != nil {
-		errs.println("cbx-lint:", err)
+		errs.Println("cbx-lint:", err)
 		return 2
 	}
 	relativize(findings, root)
@@ -181,16 +153,16 @@ func lint(args []string, out, errs *sink) int {
 
 	if *writeBase != "" {
 		if err := writeBaseline(*writeBase, findings); err != nil {
-			errs.println("cbx-lint:", err)
+			errs.Println("cbx-lint:", err)
 			return 2
 		}
-		errs.printf("cbx-lint: wrote baseline with %d finding(s) to %s\n", len(findings), *writeBase)
+		errs.Printf("cbx-lint: wrote baseline with %d finding(s) to %s\n", len(findings), *writeBase)
 		return 0
 	}
 	if *baseline != "" {
 		known, err := readBaseline(*baseline)
 		if err != nil {
-			errs.println("cbx-lint:", err)
+			errs.Println("cbx-lint:", err)
 			return 2
 		}
 		var fresh []analysis.Finding
@@ -200,7 +172,7 @@ func lint(args []string, out, errs *sink) int {
 			}
 		}
 		if n := len(findings) - len(fresh); n > 0 {
-			errs.printf("cbx-lint: %d finding(s) matched the baseline\n", n)
+			errs.Printf("cbx-lint: %d finding(s) matched the baseline\n", n)
 		}
 		findings = fresh
 	}
@@ -213,20 +185,20 @@ func lint(args []string, out, errs *sink) int {
 			findings = []analysis.Finding{}
 		}
 		if err := enc.Encode(findings); err != nil {
-			errs.println("cbx-lint:", err)
+			errs.Println("cbx-lint:", err)
 			return 2
 		}
 	case *sarifOut:
 		if err := writeSARIF(out, analyzers, findings); err != nil {
-			errs.println("cbx-lint:", err)
+			errs.Println("cbx-lint:", err)
 			return 2
 		}
 	default:
 		for _, f := range findings {
-			out.println(f.String())
+			out.Println(f.String())
 		}
 		if len(findings) > 0 {
-			out.printf("cbx-lint: %d finding(s)\n", len(findings))
+			out.Printf("cbx-lint: %d finding(s)\n", len(findings))
 		}
 	}
 	if len(findings) > 0 {
@@ -247,7 +219,7 @@ func relativize(findings []analysis.Finding, root string) {
 
 // printTimings writes per-analyzer wall time (prepare + passes) to w,
 // slowest first.
-func printTimings(w *sink, timings map[string]float64) {
+func printTimings(w *sticky.Writer, timings map[string]float64) {
 	names := make([]string, 0, len(timings))
 	for name := range timings {
 		names = append(names, name)
@@ -259,7 +231,7 @@ func printTimings(w *sink, timings map[string]float64) {
 		return names[i] < names[j]
 	})
 	for _, name := range names {
-		w.printf("cbx-lint: timing %-20s %8.1fms\n", name, timings[name]*1e3)
+		w.Printf("cbx-lint: timing %-20s %8.1fms\n", name, timings[name]*1e3)
 	}
 }
 
